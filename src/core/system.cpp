@@ -287,6 +287,9 @@ void System::run_to(SimTime t) {
 }
 
 void System::issue_requests(PeerId p) {
+  // One span per call, not per lookup: discovery queries run inside it
+  // and a per-query span would overflow the trace ring on DHT runs.
+  P2PEX_TRACE_SPAN("request.issue", "engine");
   Peer& peer = peers_[p.value];
   while (peer.online && peer.pending_list.size() < cfg_.max_pending) {
     if (!issue_one_request(p)) {
