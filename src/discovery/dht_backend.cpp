@@ -55,9 +55,9 @@ std::uint64_t DhtBackend::object_key(ObjectId object) const {
                kGolden * (static_cast<std::uint64_t>(object.value) + 1));
 }
 
-std::vector<std::uint32_t> DhtBackend::store_set(std::uint64_t target) const {
+std::vector<std::uint32_t> DhtBackend::closest(std::uint64_t target) const {
   const std::size_t n = sorted_keys_.size();
-  const std::size_t k = std::min(cfg_.dht_bucket_size, n);
+  const std::size_t k = store_size();
   if (k == 0) return {};
   // Nodes sharing an L-bit key prefix with `target` are contiguous in
   // key order, and everything inside a longer shared prefix is
@@ -91,24 +91,37 @@ std::vector<std::uint32_t> DhtBackend::store_set(std::uint64_t target) const {
               return a < b;
             });
   range.resize(k);
-  std::sort(range.begin(), range.end());  // ascending peer order
   return range;
 }
 
 std::vector<PeerId> DhtBackend::store_peers(ObjectId object) const {
+  std::vector<std::uint32_t> set = closest(object_key(object));
+  std::sort(set.begin(), set.end());  // ascending peer order
   std::vector<PeerId> out;
-  for (const std::uint32_t idx : store_set(object_key(object)))
-    out.push_back(PeerId{idx});
+  for (const std::uint32_t idx : set) out.push_back(PeerId{idx});
   return out;
 }
 
+bool DhtBackend::stores(ObjectId object, PeerId peer) {
+  if (store_size() == 0) return false;
+  return within(peer.value, object_key(object), boundary(object));
+}
+
+std::uint32_t DhtBackend::boundary(ObjectId object) {
+  // Queries for never-published objects dominate DHT traffic; with the
+  // boundary cached they walk without recomputing the store set.
+  if (object.value >= boundary_.size())
+    boundary_.resize(static_cast<std::size_t>(object.value) + 1, kNoBoundary);
+  std::uint32_t& b = boundary_[object.value];
+  if (b == kNoBoundary) b = closest(object_key(object)).back();
+  return b;
+}
+
 std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
-                               const std::vector<std::uint32_t>& store) {
-  const auto in_store = [&](std::uint32_t idx) {
-    return std::binary_search(store.begin(), store.end(), idx);
-  };
+                               std::uint32_t bound) {
   std::uint32_t cur = from.value;
-  if (in_store(cur)) return 0;  // the requester hosts the records itself
+  // The requester may host the records itself.
+  if (within(cur, target, bound)) return 0;
 
   const std::size_t k = std::max<std::size_t>(cfg_.dht_bucket_size, 1);
   std::uint32_t hops = 0;
@@ -151,22 +164,20 @@ std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
     costs_.wire_bytes +=
         static_cast<std::uint64_t>(cfg_.dht_alpha) * kMessageBytes;
     cur = best;
-    if (in_store(cur)) return hops;
+    if (within(cur, target, bound)) return hops;
     cpl = std::countl_zero(key_[cur] ^ target);  // strictly grew: no cycles
   }
 }
 
 void DhtBackend::add_owner(ObjectId object, PeerId peer, SimTime now) {
-  const std::uint64_t target = object_key(object);
-  const std::vector<std::uint32_t> store = store_set(target);
-  if (store.empty()) return;
+  if (store_size() == 0) return;
   // The publish walk is charged even when routing fails mid-walk: the
   // record still lands (Kademlia republish repairs placement off-path),
   // so discoverability is gated at query time, where it belongs.
-  const std::uint32_t hops = walk(peer, target, store);
+  const std::uint32_t hops = walk(peer, object_key(object), boundary(object));
   if (hops != kWalkFailed) costs_.hops += hops;
   costs_.wire_bytes +=
-      static_cast<std::uint64_t>(store.size()) * kRecordBytes;
+      static_cast<std::uint64_t>(store_size()) * kRecordBytes;
 
   std::vector<Record>& records = store_[object];
   for (Record& r : records) {
@@ -212,10 +223,9 @@ void DhtBackend::remove_peer(PeerId peer, SimTime now) {
 
 LookupResult DhtBackend::query(const LookupQuery& q) {
   LookupResult r;
-  const std::uint64_t target = object_key(q.object);
-  const std::vector<std::uint32_t> store = store_set(target);
-  if (store.empty()) return r;
-  const std::uint32_t hops = walk(q.requester, target, store);
+  if (store_size() == 0) return r;
+  const std::uint32_t hops =
+      walk(q.requester, object_key(q.object), boundary(q.object));
   if (hops == kWalkFailed) return r;  // miss: budget cut or routing hole
   r.hops = hops;
   costs_.hops += hops;

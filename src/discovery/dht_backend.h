@@ -22,6 +22,7 @@
 // — those records are served stale until the late retraction fires.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -46,9 +47,14 @@ class DhtBackend final : public LookupBackend {
   [[nodiscard]] std::uint64_t node_key(PeerId peer) const {
     return key_[peer.value];
   }
+  /// Key of `object` in the same id space (tests).
+  [[nodiscard]] std::uint64_t object_key(ObjectId object) const;
   /// The store set of `object`: the k peers XOR-closest to its key,
   /// ascending peer order (tests).
   [[nodiscard]] std::vector<PeerId> store_peers(ObjectId object) const;
+  /// Whether `peer` is in `object`'s store set, answered through the
+  /// cached boundary the walks use (tests).
+  [[nodiscard]] bool stores(ObjectId object, PeerId peer);
 
   /// Modeled wire cost per routing message / stored record, bytes.
   static constexpr std::uint64_t kMessageBytes = 48;
@@ -62,17 +68,34 @@ class DhtBackend final : public LookupBackend {
     SimTime origin = 0.0;
   };
 
-  [[nodiscard]] std::uint64_t object_key(ObjectId object) const;
-  /// Peer indices (ascending) of the k nodes XOR-closest to `target`.
-  [[nodiscard]] std::vector<std::uint32_t> store_set(
-      std::uint64_t target) const;
-  /// Iterative walk from `from` toward `target` until a member of
-  /// `store` is reached. Charges wire/hop costs; returns the hop count
-  /// or, on miss (routing hole / budget exhausted), returns
-  /// `kWalkFailed`.
+  /// Store-set size: min(k, population).
+  [[nodiscard]] std::size_t store_size() const {
+    return std::min(cfg_.dht_bucket_size, key_.size());
+  }
+  /// Peer indices of the k nodes XOR-closest to `target`, in (XOR
+  /// distance, peer index) order.
+  [[nodiscard]] std::vector<std::uint32_t> closest(std::uint64_t target) const;
+  /// The last (k-th) node of `object`'s store set in (XOR distance, peer
+  /// index) order. Requires store_size() > 0.
+  [[nodiscard]] std::uint32_t boundary(ObjectId object);
+  /// Whether `idx` ranks at or before `bound` in (XOR distance to
+  /// `target`, peer index) order — i.e. is in the store set `bound`
+  /// closes.
+  [[nodiscard]] bool within(std::uint32_t idx, std::uint64_t target,
+                            std::uint32_t bound) const {
+    const std::uint64_t d = key_[idx] ^ target;
+    const std::uint64_t db = key_[bound] ^ target;
+    return d < db || (d == db && idx <= bound);
+  }
+  /// Iterative walk from `from` toward `target` until a member of the
+  /// store set closed by `bound` is reached. Charges wire/hop costs;
+  /// returns the hop count or, on miss (routing hole / budget
+  /// exhausted), returns `kWalkFailed`.
   [[nodiscard]] std::uint32_t walk(PeerId from, std::uint64_t target,
-                                   const std::vector<std::uint32_t>& store);
+                                   std::uint32_t bound);
   static constexpr std::uint32_t kWalkFailed = 0xFFFFFFFFu;
+  /// boundary_ entry not computed yet (never a peer index: n < 2^32).
+  static constexpr std::uint32_t kNoBoundary = 0xFFFFFFFFu;
 
   DiscoveryConfig cfg_;
   const WorldView* world_;
@@ -80,6 +103,11 @@ class DhtBackend final : public LookupBackend {
   std::vector<std::uint64_t> key_;       ///< peer index -> node key
   std::vector<std::uint32_t> by_key_;    ///< peer indices sorted by key
   std::vector<std::uint64_t> sorted_keys_;  ///< key_[by_key_[i]]
+  /// ObjectId::value -> boundary(object), or kNoBoundary. Filled lazily
+  /// on first add_owner/query and never invalidated: node keys and the
+  /// population are fixed for the backend's life, so an object's store
+  /// set is a constant. 4 B per object id up to the largest queried.
+  std::vector<std::uint32_t> boundary_;
   /// Published records per object (the store set's shared contents; the
   /// population is fixed, so the set of responsible nodes is static and
   /// one record list per object models all k replicas). Keyed access

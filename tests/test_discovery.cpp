@@ -25,6 +25,7 @@
 #include "metrics/report.h"
 #include "support/scenario.h"
 #include "util/assert.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace p2pex {
@@ -392,6 +393,105 @@ TEST(DhtBackend, HopBudgetCutsWalks) {
     }
   }
   FAIL() << "no multi-hop (object, requester) pair in a 256-peer world";
+}
+
+/// Brute-force store set: every node ranked by (XOR distance to the
+/// object key, peer index), the first k kept, in ascending peer order.
+std::vector<PeerId> reference_store(const DhtBackend& dht, ObjectId object,
+                                    std::size_t n, std::size_t k) {
+  const std::uint64_t target = dht.object_key(object);
+  std::vector<std::uint32_t> ranked(n);
+  for (std::size_t i = 0; i < n; ++i) ranked[i] = narrow_u32(i);
+  std::sort(ranked.begin(), ranked.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const std::uint64_t da = dht.node_key(PeerId{a}) ^ target;
+              const std::uint64_t db = dht.node_key(PeerId{b}) ^ target;
+              return da != db ? da < db : a < b;
+            });
+  ranked.resize(std::min(k, n));
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<PeerId> out;
+  for (const std::uint32_t idx : ranked) out.push_back(PeerId{idx});
+  return out;
+}
+
+TEST(DhtBackend, StoreSetMatchesBruteForceRanking) {
+  const DiscoveryConfig cfg = dht_config();
+  const std::size_t k = cfg.dht_bucket_size;
+  for (const std::size_t n : {std::size_t{1}, k - 1, k, k + 1, std::size_t{64},
+                              std::size_t{1000}}) {
+    TestWorld world(n);
+    DhtBackend dht(cfg, 5, world);
+    // Object ids out of order, so the lazily grown boundary table is
+    // filled from the middle as well as the end.
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      const ObjectId o{(i * 7919u) % 4001u};
+      const std::vector<PeerId> want = reference_store(dht, o, n, k);
+      ASSERT_EQ(dht.store_peers(o), want) << "n " << n << " object " << o.value;
+      for (std::uint32_t p = 0; p < n; ++p) {
+        const bool member =
+            std::binary_search(want.begin(), want.end(), PeerId{p});
+        ASSERT_EQ(dht.stores(o, PeerId{p}), member)
+            << "n " << n << " object " << o.value << " peer " << p;
+      }
+    }
+  }
+}
+
+/// FNV-1a over the eight bytes of `v`, little end first.
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Every (hops, wire_bytes, providers) answer over a 32-object x
+// 64-requester grid, under three world states, folded into one pinned
+// checksum. The pin was recorded with the store set recomputed (ranked
+// afresh) on every walk; the cached boundary must route identically.
+TEST(DhtBackend, WalkCostGridIsPinned) {
+  DiscoveryConfig cfg = dht_config();
+  cfg.dht_hop_budget = 2;  // walks here take ~2 hops: some get cut
+  constexpr std::uint32_t kPeers = 256;
+  TestWorld world(kPeers);
+  DhtBackend dht(cfg, 17, world);
+  // Even objects get two owners; odd ones are never published, like
+  // most objects the engine queries.
+  for (std::uint32_t o = 0; o < 32; o += 2) {
+    dht.add_owner(ObjectId{o}, PeerId{(o * 37u + 1u) % kPeers}, 0.0);
+    dht.add_owner(ObjectId{o}, PeerId{(o * 101u + 7u) % kPeers}, 0.0);
+  }
+  const DiscoveryCosts publish = dht.drain_costs();
+  std::uint64_t h = fnv_fold(0xCBF29CE484222325ULL, publish.hops);
+  h = fnv_fold(h, publish.wire_bytes);
+
+  std::uint64_t hops = 0;
+  std::uint64_t empty = 0;
+  for (int state = 0; state < 3; ++state) {
+    // 0: all online; 1: a quarter offline; 2: an id-space split.
+    for (std::uint32_t p = 0; p < kPeers; ++p)
+      world.set_online(PeerId{p}, state != 1 || p % 4 != 3);
+    world.set_split(state == 2 ? kPeers / 2 : 0);
+    for (std::uint32_t o = 0; o < 32; ++o) {
+      for (std::uint32_t r = 0; r < 64; ++r) {
+        const LookupResult res =
+            dht.query({ObjectId{o}, PeerId{r * 4u + r % 3u}, 5.0});
+        h = fnv_fold(h, res.hops);
+        h = fnv_fold(h, res.wire_bytes);
+        h = fnv_fold(h, res.providers.size());
+        hops += res.hops;
+        if (res.providers.empty()) ++empty;
+      }
+    }
+    const DiscoveryCosts costs = dht.drain_costs();
+    h = fnv_fold(h, costs.hops);
+    h = fnv_fold(h, costs.wire_bytes);
+  }
+  EXPECT_EQ(hops, 6059u);
+  EXPECT_EQ(empty, 4109u);  // 3072 unpublished + 1037 failed walks
+  EXPECT_EQ(h, 15488789123633261063ULL);
 }
 
 // --- AuditBackend ---
