@@ -36,6 +36,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -574,18 +575,25 @@ BENCHMARK(BM_SystemCrashChurn);
 // and hops_per_query record the modeled network cost alongside the CPU
 // cost.
 
-/// Everyone online, everyone reachable: query cost with no fault noise.
+/// Everyone online and reachable (query cost with no fault noise)
+/// unless a bench flips a peer; flips bump the world epoch.
 class BenchWorld final : public discovery::WorldView {
  public:
-  explicit BenchWorld(std::size_t n) : n_(n) {}
-  [[nodiscard]] std::size_t num_peers() const override { return n_; }
-  [[nodiscard]] bool peer_online(PeerId) const override { return true; }
-  [[nodiscard]] bool peers_reachable(PeerId, PeerId) const override {
-    return true;
+  explicit BenchWorld(std::size_t n) : online_(n, 1) {}
+  [[nodiscard]] std::size_t num_peers() const override {
+    return online_.size();
+  }
+  [[nodiscard]] bool peer_online(PeerId p) const override {
+    return online_[p.value] != 0;
+  }
+  [[nodiscard]] std::uint32_t component(PeerId) const override { return 0; }
+  void flip(PeerId p) {
+    online_[p.value] ^= 1;
+    bump_world_epoch();
   }
 
  private:
-  std::size_t n_;
+  std::vector<std::uint8_t> online_;
 };
 
 struct LookupFixture {
@@ -600,9 +608,11 @@ constexpr std::size_t kLookupObjects = 2000;
 constexpr std::size_t kProvidersPerObject = 4;
 constexpr std::size_t kPexWarmRounds = 30;
 
-LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
-  static std::map<std::pair<int, std::size_t>, LookupFixture> cache;
-  const auto key = std::make_pair(static_cast<int>(kind), n);
+/// `churned` builds a separate instance whose world the bench mutates.
+LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n,
+                              bool churned = false) {
+  static std::map<std::tuple<int, std::size_t, bool>, LookupFixture> cache;
+  const auto key = std::make_tuple(static_cast<int>(kind), n, churned);
   auto it = cache.find(key);
   if (it != cache.end()) return it->second;
 
@@ -634,15 +644,29 @@ LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
   return cache.emplace(key, std::move(f)).first->second;
 }
 
+/// Queries between world changes in BM_LookupBackendDhtChurned. The
+/// bench/e2e discovery workload changes its world more often, about
+/// once per 1400 DHT walks, but at 55 peers a refresh is cheap there.
+constexpr std::uint32_t kQueriesPerFlip = 4096;
+
 /// `first_object` shifts the queried ids: 0 queries the published
-/// objects, kLookupObjects queries ids nobody ever published.
+/// objects, kLookupObjects queries ids nobody ever published. `churned`
+/// flips one peer's online state every kQueriesPerFlip queries (taking
+/// a peer down, then bringing it back), so each flip costs the DHT a
+/// liveness-mask refresh and a cold walk memo.
 void run_lookup_bench(benchmark::State& state, discovery::BackendKind kind,
-                      std::uint32_t first_object = 0) {
+                      std::uint32_t first_object = 0, bool churned = false) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  LookupFixture& f = lookup_fixture(kind, n);
+  LookupFixture& f = lookup_fixture(kind, n, churned);
   std::uint64_t providers = 0;
   std::uint32_t q = 0;
+  std::uint32_t flips = 0;
   for (auto _ : state) {
+    if (churned && q % kQueriesPerFlip == 0) {
+      f.world->flip(
+          PeerId{(flips / 2 * 7919u) % static_cast<std::uint32_t>(n)});
+      ++flips;
+    }
     const discovery::LookupQuery query{
         ObjectId{first_object +
                  q % static_cast<std::uint32_t>(kLookupObjects)},
@@ -660,6 +684,10 @@ void run_lookup_bench(benchmark::State& state, discovery::BackendKind kind,
       benchmark::Counter(static_cast<double>(costs.hops) / iters);
   state.counters["providers_per_query"] =
       benchmark::Counter(static_cast<double>(providers) / iters);
+  // Leave the fixture's world as found (everyone online) for the next
+  // invocation.
+  if (flips % 2 == 1)
+    f.world->flip(PeerId{(flips / 2 * 7919u) % static_cast<std::uint32_t>(n)});
 }
 
 void BM_LookupBackendOracle(benchmark::State& state) {
@@ -682,6 +710,15 @@ void BM_LookupBackendDhtUnpublished(benchmark::State& state) {
 }
 BENCHMARK(BM_LookupBackendDht)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendDhtUnpublished)->Arg(10000)->Arg(100000);
+// Unpublished-object queries while the world churns: the DHT's routing
+// cache pays an O(population) mask refresh and refills its walk memo
+// after every flip.
+void BM_LookupBackendDhtChurned(benchmark::State& state) {
+  run_lookup_bench(state, discovery::BackendKind::kDht,
+                   static_cast<std::uint32_t>(kLookupObjects),
+                   /*churned=*/true);
+}
+BENCHMARK(BM_LookupBackendDhtChurned)->Arg(10000);
 
 void BM_RequestTreeBuild(benchmark::State& state) {
   const GraphSnapshot& g =

@@ -216,7 +216,7 @@ void System::build_peers(const PopulationPlan& plan) {
           cfg_.irq_capacity, lies);
       Peer& p = peers_.back();
       p.shares = cls.shares;
-      p.online = !cls.start_offline;
+      set_online(p, !cls.start_offline);
       p.upload_slots = static_cast<int>(up_kbps / cfg_.slot_kbps);
       p.download_slots = static_cast<int>(down_kbps / cfg_.slot_kbps);
       if (p.shares) ++num_sharing_;
@@ -311,6 +311,8 @@ void System::issue_requests(PeerId p) {
 
 bool System::issue_one_request(PeerId p) {
   Peer& peer = peers_[p.value];
+  const bool decentralized =
+      backend_->kind() != discovery::BackendKind::kOracle;
   // "Continue to generate candidate requests until a miss is found";
   // bounded so a pathological configuration cannot spin forever.
   for (int attempt = 0; attempt < 300; ++attempt) {
@@ -327,7 +329,7 @@ bool System::issue_one_request(PeerId p) {
         backend_->query({o, p, sim_.now()});
     drain_discovery_costs();
     std::vector<PeerId>& discovered = found.providers;
-    if (backend_->kind() != discovery::BackendKind::kOracle) {
+    if (decentralized) {
       // Decentralized-backend quality accounting, against the ground
       // truth the oracle would have read. Counted before the fault
       // shims below so the figures describe the backend, not the fault

@@ -328,7 +328,11 @@ class System final : private discovery::WorldView {
   // discovery::WorldView (what backends may observe; num_peers() is the
   // public accessor above).
   [[nodiscard]] bool peer_online(PeerId p) const override;
-  [[nodiscard]] bool peers_reachable(PeerId a, PeerId b) const override;
+  [[nodiscard]] std::uint32_t component(PeerId p) const override;
+  /// The only writer of Peer::online: flips it and bumps the world
+  /// epoch, so backends' liveness caches see every flip (WorldView
+  /// epoch contract). set_partition bumps the epoch too.
+  void set_online(Peer& p, bool online);
 
   // --- workload ---
   void issue_requests(PeerId p);

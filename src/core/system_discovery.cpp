@@ -13,8 +13,14 @@ void System::init_discovery() {
 
 bool System::peer_online(PeerId p) const { return peers_[p.value].online; }
 
-bool System::peers_reachable(PeerId a, PeerId b) const {
-  return faults_.reachable(a, b);
+std::uint32_t System::component(PeerId p) const {
+  return faults_.component(p);
+}
+
+void System::set_online(Peer& p, bool online) {
+  // p2pex-lint: no-graph-effect (callers touch the graph for the flip)
+  p.online = online;
+  bump_world_epoch();
 }
 
 void System::lookup_add_owner(ObjectId o, PeerId p) {

@@ -46,7 +46,7 @@ void System::retract_service(Peer& p, SessionEnd reason, bool lossy) {
 void System::peer_leave(PeerId pid) {
   Peer& p = peer_mut(pid);
   if (!p.online) return;
-  p.online = false;
+  set_online(p, false);
   ++counters_.peer_departures;
   touch_graph(pid);     // its own rows vanish
   touch_watchers(pid);  // roots that discovered it lose a closer
@@ -69,7 +69,7 @@ void System::peer_leave(PeerId pid) {
 void System::peer_crash(PeerId pid) {
   Peer& p = peer_mut(pid);
   if (!p.online) return;
-  p.online = false;
+  set_online(p, false);
   ++counters_.peer_crashes;
   // A crash is a departure for population accounting (peer_join brings
   // the peer back either way); the crash counter tells them apart.
@@ -98,7 +98,7 @@ void System::peer_crash(PeerId pid) {
 void System::peer_join(PeerId pid) {
   Peer& p = peer_mut(pid);
   if (p.online) return;
-  p.online = true;
+  set_online(p, true);
   ++counters_.peer_arrivals;
   touch_graph(pid);
   touch_watchers(pid);  // roots that discovered it regain a closer

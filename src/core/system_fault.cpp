@@ -137,6 +137,7 @@ void System::set_partition(std::uint32_t split) {
                    "partition split beyond the peer-id space");
   if (faults_.partition_split() == split) return;
   faults_.set_partition(split);
+  bump_world_epoch();  // reachability answers changed
   // Reachability shapes every edge/closure/want row: full invalidation.
   touch_graph();
   if (split != 0) {

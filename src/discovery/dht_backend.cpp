@@ -33,6 +33,7 @@ DhtBackend::DhtBackend(const DiscoveryConfig& cfg, std::uint64_t seed,
     : cfg_(cfg),
       world_(&world),
       seed_(seed),
+      memo_(kMemoSlots),
       published_(world.num_peers()) {
   const std::size_t n = world.num_peers();
   key_.resize(n);
@@ -117,56 +118,110 @@ std::uint32_t DhtBackend::boundary(ObjectId object) {
   return b;
 }
 
-std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
-                               std::uint32_t bound) {
-  std::uint32_t cur = from.value;
-  // The requester may host the records itself.
-  if (within(cur, target, bound)) return 0;
+void DhtBackend::refresh_mask() {
+  const std::size_t n = by_key_.size();
+  mask_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PeerId node{by_key_[i]};
+    const std::uint32_t c = world_->component(node);
+    P2PEX_INVARIANT_MSG(c != WorldView::kNoComponent,
+                        "WorldView::component returned the reserved value");
+    mask_[i] = world_->peer_online(node) ? c : WorldView::kNoComponent;
+  }
+  mask_epoch_ = world_->world_epoch();
+  ++gen_;
+  ++stats_.refreshes;
+}
 
+template <class Live>
+DhtBackend::Route DhtBackend::route(int cpl, std::uint64_t target,
+                                    std::uint32_t bound, Live live) const {
   const std::size_t k = std::max<std::size_t>(cfg_.dht_bucket_size, 1);
-  std::uint32_t hops = 0;
-  int cpl = std::countl_zero(key_[cur] ^ target);
+  const std::size_t n = sorted_keys_.size();
+  std::uint8_t hops = 0;
   while (true) {
-    if (hops >= cfg_.dht_hop_budget) return kWalkFailed;  // budget cut
-    if (cpl >= 64) return kWalkFailed;  // defensive: key == target hole
+    if (hops >= cfg_.dht_hop_budget) return {hops, true};  // budget cut
+    if (cpl >= 64) return {hops, true};  // defensive: key == target hole
     // The next bucket: nodes sharing one more prefix bit with the
-    // target than `cur` does. Contiguous in key order; scan it in key
-    // order and keep the first k live candidates (offline/unreachable
-    // nodes punch holes that the scan skips past).
+    // target than the current node does. Contiguous in key order; scan
+    // it in key order and keep the first k live candidates
+    // (offline/unreachable nodes punch holes that the scan skips past).
     const std::uint64_t mask = ~std::uint64_t{0} << (64 - (cpl + 1));
     const std::uint64_t plo = target & mask;
     const std::uint64_t phi = plo | ~mask;
-    const auto first = std::lower_bound(sorted_keys_.begin(),
-                                        sorted_keys_.end(), plo);
-    const auto last =
-        std::upper_bound(sorted_keys_.begin(), sorted_keys_.end(), phi);
+    std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(sorted_keys_.begin(), sorted_keys_.end(), plo) -
+        sorted_keys_.begin());
     std::uint32_t best = 0;
     std::uint64_t best_dist = ~std::uint64_t{0};
     bool found = false;
-    std::size_t live = 0;
-    for (auto it = first; it != last && live < k; ++it) {
-      const std::uint32_t idx =
-          by_key_[static_cast<std::size_t>(it - sorted_keys_.begin())];
-      const PeerId node{idx};
-      if (!world_->peer_online(node)) continue;
-      if (!world_->peers_reachable(from, node)) continue;
-      ++live;
-      const std::uint64_t dist = key_[idx] ^ target;
-      if (!found || dist < best_dist ||
-          (dist == best_dist && idx < best)) {
+    for (std::size_t seen = 0; pos < n && sorted_keys_[pos] <= phi && seen < k;
+         ++pos) {
+      if (!live(pos)) continue;
+      ++seen;
+      const std::uint32_t idx = by_key_[pos];
+      const std::uint64_t dist = sorted_keys_[pos] ^ target;
+      if (!found || dist < best_dist || (dist == best_dist && idx < best)) {
         best = idx;
         best_dist = dist;
         found = true;
       }
     }
-    if (!found) return kWalkFailed;  // routing hole: bucket has no one alive
+    if (!found) return {hops, true};  // routing hole: bucket has no one alive
     ++hops;
-    costs_.wire_bytes +=
-        static_cast<std::uint64_t>(cfg_.dht_alpha) * kMessageBytes;
-    cur = best;
-    if (within(cur, target, bound)) return hops;
-    cpl = std::countl_zero(key_[cur] ^ target);  // strictly grew: no cycles
+    if (within(best, target, bound)) return {hops, false};
+    cpl = std::countl_zero(key_[best] ^ target);  // strictly grew: no cycles
   }
+}
+
+std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
+                               std::uint32_t bound) {
+  ++stats_.walks;
+  // The requester may host the records itself.
+  if (within(from.value, target, bound)) {
+    ++stats_.local;
+    return 0;
+  }
+  if (gen_ == 0 || world_->world_epoch() != mask_epoch_) refresh_mask();
+
+  // Past this point the route depends on the requester only through its
+  // common-prefix length with the target and its component (route()),
+  // so walks from different requesters share memo entries.
+  const int cpl = std::countl_zero(key_[from.value] ^ target);
+  const std::uint32_t comp = world_->component(from);
+  const std::uint64_t slot =
+      (target + kGolden * (std::uint64_t{comp} * 65 +
+                           static_cast<std::uint64_t>(cpl))) >>
+      (64 - kMemoBits);
+  MemoEntry& m = memo_[slot];
+  // What mask_[pos] must hold, asked of the world directly (audits).
+  const auto world_mask = [&](std::size_t pos) {
+    const PeerId node{by_key_[pos]};
+    return world_->peer_online(node) ? world_->component(node)
+                                     : WorldView::kNoComponent;
+  };
+  if (m.gen == gen_ && m.target == target && m.cpl == cpl &&
+      m.component == comp) {
+    ++stats_.memo_hits;
+    P2PEX_EXPENSIVE_INVARIANT_MSG(
+        (route(cpl, target, bound,
+               [&](std::size_t pos) { return world_mask(pos) == comp; }) ==
+         m.route),
+        "DHT walk memo disagrees with an uncached walk");
+  } else {
+    const auto live = [&](std::size_t pos) {
+      P2PEX_EXPENSIVE_INVARIANT_MSG(
+          mask_[pos] == world_mask(pos),
+          "DHT liveness mask is stale: a world change skipped the epoch");
+      return mask_[pos] == comp;
+    };
+    m = MemoEntry{target, gen_, comp, static_cast<std::uint8_t>(cpl),
+                  route(cpl, target, bound, live)};
+  }
+  costs_.wire_bytes += std::uint64_t{m.route.hops} *
+                       static_cast<std::uint64_t>(cfg_.dht_alpha) *
+                       kMessageBytes;
+  return m.route.failed ? kWalkFailed : m.route.hops;
 }
 
 void DhtBackend::add_owner(ObjectId object, PeerId peer, SimTime now) {

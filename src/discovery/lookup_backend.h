@@ -47,14 +47,39 @@ namespace p2pex::discovery {
 
 /// What a backend may observe about the world. Implemented by System;
 /// kept abstract so src/discovery depends only on util/.
+///
+/// Epoch contract: world_epoch() changes whenever any peer_online() or
+/// component() answer may change. An implementation calls
+/// bump_world_epoch() after every such write (System: each Peer::online
+/// write and each partition change), so a backend may cache those
+/// answers and trust the cache for as long as the epoch it read them at
+/// is still current. Forgetting a bump makes caches serve a stale world;
+/// audit builds (P2PEX_LOOKUP_AUDIT) check the DHT's cache node by node.
 class WorldView {
  public:
   virtual ~WorldView() = default;
   [[nodiscard]] virtual std::size_t num_peers() const = 0;
   [[nodiscard]] virtual bool peer_online(PeerId p) const = 0;
-  /// Whether `a` and `b` can currently communicate (fault-model
-  /// partitions confine gossip and routing to each side).
-  [[nodiscard]] virtual bool peers_reachable(PeerId a, PeerId b) const = 0;
+  /// The partition side `p` is on: `a` and `b` can currently
+  /// communicate exactly when their components are equal (fault-model
+  /// partitions confine gossip and routing to each side). Defined for
+  /// offline peers too. Never kNoComponent.
+  [[nodiscard]] virtual std::uint32_t component(PeerId p) const = 0;
+  /// Whether `a` and `b` can currently communicate.
+  [[nodiscard]] bool peers_reachable(PeerId a, PeerId b) const {
+    return component(a) == component(b);
+  }
+  /// Changes whenever any peer_online/component answer may change.
+  [[nodiscard]] std::uint64_t world_epoch() const { return epoch_; }
+
+  /// Reserved: backends use it to mark offline nodes in cached masks.
+  static constexpr std::uint32_t kNoComponent = 0xFFFFFFFFu;
+
+ protected:
+  void bump_world_epoch() { ++epoch_; }
+
+ private:
+  std::uint64_t epoch_ = 0;
 };
 
 /// One lookup request.

@@ -49,7 +49,12 @@ class FaultInjector {
   [[nodiscard]] bool partitioned() const { return split_ != 0; }
   [[nodiscard]] std::uint32_t partition_split() const { return split_; }
   void set_partition(std::uint32_t split) { split_ = split; }
-  /// Whether `a` and `b` can currently communicate.
+  /// The side of the partition `p` is on: 0, or 1 for ids >= split.
+  [[nodiscard]] std::uint32_t component(PeerId p) const {
+    return split_ != 0 && p.value >= split_ ? 1u : 0u;
+  }
+  /// Whether `a` and `b` can currently communicate: component(a) ==
+  /// component(b), spelled out for the engine's hot paths.
   [[nodiscard]] bool reachable(PeerId a, PeerId b) const {
     return split_ == 0 || (a.value < split_) == (b.value < split_);
   }

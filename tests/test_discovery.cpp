@@ -4,15 +4,20 @@
 // LookupService reverse index, oracle bit-exactness against the old
 // query path, PEX gossip semantics (spread, TTL, digest bounds,
 // staleness, determinism), DHT routing (store sets, publish/query
-// walks, holes, budgets, unpublish) and the oracle-backed audit
+// walks, holes, budgets, unpublish, the routing cache against the
+// uncached reference walk) and the oracle-backed audit
 // decorator — plus system-level runs per backend and the
 // backend-equivalence sweep across thread counts and tree modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lookup.h"
@@ -45,6 +50,7 @@ using discovery::WorldView;
 
 /// Minimal world: everyone online and reachable unless told otherwise;
 /// an optional id-space split mirrors the fault model's partitions.
+/// Every setter bumps the world epoch (WorldView epoch contract).
 class TestWorld final : public WorldView {
  public:
   explicit TestWorld(std::size_t n) : online_(n, true) {}
@@ -54,12 +60,17 @@ class TestWorld final : public WorldView {
   [[nodiscard]] bool peer_online(PeerId p) const override {
     return online_[p.value];
   }
-  [[nodiscard]] bool peers_reachable(PeerId a, PeerId b) const override {
-    if (split_ == 0) return true;
-    return (a.value < split_) == (b.value < split_);
+  [[nodiscard]] std::uint32_t component(PeerId p) const override {
+    return split_ != 0 && p.value >= split_ ? 1u : 0u;
   }
-  void set_online(PeerId p, bool on) { online_[p.value] = on; }
-  void set_split(std::uint32_t s) { split_ = s; }
+  void set_online(PeerId p, bool on) {
+    online_[p.value] = on;
+    bump_world_epoch();
+  }
+  void set_split(std::uint32_t s) {
+    split_ = s;
+    bump_world_epoch();
+  }
 
  private:
   std::vector<bool> online_;
@@ -493,6 +504,275 @@ TEST(DhtBackend, WalkCostGridIsPinned) {
   EXPECT_EQ(empty, 4109u);  // 3072 unpublished + 1037 failed walks
   EXPECT_EQ(h, 15488789123633261063ULL);
 }
+
+/// DhtBackend as it was before the routing cache: every walk asks the
+/// WorldView about each scanned node and brackets each bucket with a
+/// lower_bound/upper_bound pair; nothing is memoized. Built from the
+/// backend's public key accessors and the brute-force store set, it
+/// must charge exactly what the cached backend charges.
+class ReferenceDht {
+ public:
+  ReferenceDht(const DhtBackend& dht, const DiscoveryConfig& cfg,
+               const WorldView& world)
+      : dht_(dht), cfg_(cfg), world_(world) {
+    const std::size_t n = world.num_peers();
+    for (std::size_t i = 0; i < n; ++i) by_key_.push_back(narrow_u32(i));
+    std::sort(by_key_.begin(), by_key_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::uint64_t ka = key(a);
+                const std::uint64_t kb = key(b);
+                return ka != kb ? ka < kb : a < b;
+              });
+    for (const std::uint32_t idx : by_key_) sorted_keys_.push_back(key(idx));
+  }
+
+  void add_owner(ObjectId object, PeerId peer, SimTime now) {
+    const std::uint32_t hops = walk(peer, object);
+    if (hops != kFailed) costs_.hops += hops;
+    costs_.wire_bytes += store_of(object).size() * DhtBackend::kRecordBytes;
+    records_[object].emplace_back(peer, now);
+  }
+
+  LookupResult query(const LookupQuery& q) {
+    LookupResult r;
+    const std::uint32_t hops = walk(q.requester, q.object);
+    if (hops == kFailed) return r;
+    r.hops = hops;
+    costs_.hops += hops;
+    const std::uint64_t route_bytes =
+        std::uint64_t{hops} * cfg_.dht_alpha * DhtBackend::kMessageBytes;
+    const auto it = records_.find(q.object);
+    if (it == records_.end()) {
+      r.wire_bytes = route_bytes;
+      return r;
+    }
+    std::vector<std::pair<PeerId, SimTime>> recs = it->second;
+    std::sort(recs.begin(), recs.end());
+    for (const auto& [provider, origin] : recs) {
+      if (provider == q.requester) continue;
+      r.providers.push_back(provider);
+      r.ages.push_back(q.now - origin);
+    }
+    if (hops > 0) {
+      const std::uint64_t record_bytes =
+          r.providers.size() * DhtBackend::kRecordBytes;
+      r.wire_bytes = route_bytes + record_bytes;
+      costs_.wire_bytes += record_bytes;
+    }
+    return r;
+  }
+
+  DiscoveryCosts drain_costs() {
+    const DiscoveryCosts c = costs_;
+    costs_ = DiscoveryCosts{};
+    return c;
+  }
+
+ private:
+  static constexpr std::uint32_t kFailed = 0xFFFFFFFFu;
+
+  [[nodiscard]] std::uint64_t key(std::uint32_t idx) const {
+    return dht_.node_key(PeerId{idx});
+  }
+  const std::vector<PeerId>& store_of(ObjectId object) {
+    auto it = stores_.find(object);
+    if (it == stores_.end()) {
+      it = stores_
+               .emplace(object,
+                        reference_store(dht_, object, world_.num_peers(),
+                                        cfg_.dht_bucket_size))
+               .first;
+    }
+    return it->second;
+  }
+  bool in_store(ObjectId object, std::uint32_t idx) {
+    const std::vector<PeerId>& s = store_of(object);
+    return std::binary_search(s.begin(), s.end(), PeerId{idx});
+  }
+
+  std::uint32_t walk(PeerId from, ObjectId object) {
+    const std::uint64_t target = dht_.object_key(object);
+    std::uint32_t cur = from.value;
+    if (in_store(object, cur)) return 0;
+    const std::size_t k = std::max<std::size_t>(cfg_.dht_bucket_size, 1);
+    std::uint32_t hops = 0;
+    int cpl = std::countl_zero(key(cur) ^ target);
+    while (true) {
+      if (hops >= cfg_.dht_hop_budget) return kFailed;
+      if (cpl >= 64) return kFailed;
+      const std::uint64_t mask = ~std::uint64_t{0} << (64 - (cpl + 1));
+      const std::uint64_t plo = target & mask;
+      const std::uint64_t phi = plo | ~mask;
+      const auto first =
+          std::lower_bound(sorted_keys_.begin(), sorted_keys_.end(), plo);
+      const auto last =
+          std::upper_bound(sorted_keys_.begin(), sorted_keys_.end(), phi);
+      std::uint32_t best = 0;
+      std::uint64_t best_dist = ~std::uint64_t{0};
+      bool found = false;
+      std::size_t live = 0;
+      for (auto it = first; it != last && live < k; ++it) {
+        const std::uint32_t idx =
+            by_key_[static_cast<std::size_t>(it - sorted_keys_.begin())];
+        const PeerId node{idx};
+        if (!world_.peer_online(node)) continue;
+        if (!world_.peers_reachable(from, node)) continue;
+        ++live;
+        const std::uint64_t dist = key(idx) ^ target;
+        if (!found || dist < best_dist || (dist == best_dist && idx < best)) {
+          best = idx;
+          best_dist = dist;
+          found = true;
+        }
+      }
+      if (!found) return kFailed;
+      ++hops;
+      costs_.wire_bytes += cfg_.dht_alpha * DhtBackend::kMessageBytes;
+      cur = best;
+      if (in_store(object, cur)) return hops;
+      cpl = std::countl_zero(key(cur) ^ target);
+    }
+  }
+
+  const DhtBackend& dht_;
+  DiscoveryConfig cfg_;
+  const WorldView& world_;
+  std::vector<std::uint32_t> by_key_;
+  std::vector<std::uint64_t> sorted_keys_;
+  std::map<ObjectId, std::vector<PeerId>> stores_;
+  std::map<ObjectId, std::vector<std::pair<PeerId, SimTime>>> records_;
+  DiscoveryCosts costs_;
+};
+
+void expect_same_costs(DiscoveryCosts got, DiscoveryCosts want,
+                       const std::string& what) {
+  EXPECT_EQ(got.hops, want.hops) << what;
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes) << what;
+  EXPECT_EQ(got.gossip_rounds, want.gossip_rounds) << what;
+}
+
+// The routing cache (liveness mask + walk memo) against the uncached
+// reference walk, query by query, while the online set and the split
+// change between batches. Each batch asks every (object, requester)
+// pair twice: the first pass fills the memo (requesters sharing a
+// prefix length and a side hit each other's entries), the second
+// repeats every walk, and the next batch's world change makes every
+// entry stale.
+TEST(DhtBackend, RoutingCacheMatchesReferenceWalk) {
+  const DiscoveryConfig cfg = dht_config();
+  constexpr std::uint32_t kPeers = 128;
+  constexpr std::uint32_t kObjects = 200;
+  TestWorld world(kPeers);
+  DhtBackend dht(cfg, 23, world);
+  ReferenceDht ref(dht, cfg, world);
+
+  // Even objects get two owners, odd ones are never published.
+  for (std::uint32_t o = 0; o < kObjects; o += 2) {
+    for (const std::uint32_t p : {(o * 37u + 1u) % kPeers,
+                                  (o * 101u + 7u) % kPeers}) {
+      dht.add_owner(ObjectId{o}, PeerId{p}, 0.0);
+      ref.add_owner(ObjectId{o}, PeerId{p}, 0.0);
+    }
+  }
+  expect_same_costs(dht.drain_costs(), ref.drain_costs(), "publish");
+
+  Rng rng(29);
+  std::uint64_t missed = 0;     // published object, no provider returned
+  std::uint64_t delivered = 0;  // published object, providers returned
+  for (int batch = 0; batch < 8; ++batch) {
+    // Batch 0 keeps the initial world and batch 4 repeats batch 3's,
+    // so their memo generations span a batch boundary.
+    if (batch > 0 && batch != 4) {
+      for (std::uint32_t p = 0; p < kPeers; ++p)
+        world.set_online(PeerId{p}, !rng.chance(0.3));
+      const std::array<std::uint32_t, 3> splits = {0, kPeers / 2, kPeers / 3};
+      world.set_split(splits[static_cast<std::size_t>(batch) % 3]);
+    }
+    const DhtBackend::CacheStats before = dht.cache_stats();
+    std::uint64_t local = 0;  // queries asked at a store node
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint32_t o = 0; o < kObjects; ++o) {
+        for (std::uint32_t r = 0; r < kPeers; ++r) {
+          const LookupQuery q{ObjectId{o}, PeerId{r}, 5.0 + batch};
+          const LookupResult want = ref.query(q);
+          const LookupResult got = dht.query(q);
+          ASSERT_EQ(got.hops, want.hops)
+              << "batch " << batch << " object " << o << " requester " << r;
+          ASSERT_EQ(got.wire_bytes, want.wire_bytes)
+              << "batch " << batch << " object " << o << " requester " << r;
+          ASSERT_EQ(got.providers, want.providers)
+              << "batch " << batch << " object " << o << " requester " << r;
+          ASSERT_EQ(got.ages, want.ages)
+              << "batch " << batch << " object " << o << " requester " << r;
+          if (o % 2 == 0) {
+            if (got.providers.empty())
+              ++missed;
+            else
+              ++delivered;
+          }
+          if (dht.stores(ObjectId{o}, PeerId{r})) ++local;
+        }
+      }
+      if (pass == 0 && batch != 4) {
+        // A new generation: hits so far came from other requesters.
+        EXPECT_GT(dht.cache_stats().memo_hits, before.memo_hits)
+            << "batch " << batch;
+      }
+    }
+    expect_same_costs(dht.drain_costs(), ref.drain_costs(),
+                      "batch " + std::to_string(batch));
+    const DhtBackend::CacheStats after = dht.cache_stats();
+    EXPECT_EQ(after.walks - before.walks, 2u * kObjects * kPeers);
+    EXPECT_EQ(after.local - before.local, local) << "batch " << batch;
+    // One lazy refresh per changed world, however many flips it took.
+    EXPECT_EQ(after.refreshes - before.refreshes,
+              batch == 0 || batch == 4 ? 0u : 1u)
+        << "batch " << batch;
+  }
+  // Both outcomes were exercised: routing holes and delivered records.
+  EXPECT_GT(missed, 0u);
+  EXPECT_GT(delivered, 0u);
+}
+
+#ifdef P2PEX_EXPENSIVE_INVARIANTS_ENABLED
+/// A world whose online flips forget the epoch bump.
+class ForgetfulWorld final : public WorldView {
+ public:
+  explicit ForgetfulWorld(std::size_t n) : online_(n, true) {}
+  [[nodiscard]] std::size_t num_peers() const override {
+    return online_.size();
+  }
+  [[nodiscard]] bool peer_online(PeerId p) const override {
+    return online_[p.value];
+  }
+  [[nodiscard]] std::uint32_t component(PeerId) const override { return 0; }
+  void set_online_silently(PeerId p, bool on) { online_[p.value] = on; }
+
+ private:
+  std::vector<bool> online_;
+};
+
+// Audit builds compare the cached liveness of every scanned node, and
+// every memo hit, with the world: a flip that skips the epoch throws
+// instead of routing through a stale mask.
+TEST(DhtBackend, AuditCatchesFlipWithoutEpoch) {
+  const DiscoveryConfig cfg = dht_config();
+  ForgetfulWorld world(64);
+  DhtBackend dht(cfg, 5, world);
+  // A requester outside both objects' store sets, so its walks route.
+  PeerId requester{0};
+  while (dht.stores(ObjectId{9}, requester) ||
+         dht.stores(ObjectId{10}, requester))
+    requester = PeerId{requester.value + 1};
+  const LookupQuery q{ObjectId{9}, requester, 1.0};
+  EXPECT_GT(dht.query(q).hops, 0u);
+  for (std::uint32_t p = 0; p < 64; ++p)
+    world.set_online_silently(PeerId{p}, false);
+  EXPECT_THROW((void)dht.query(q), AssertionError);  // memo hit re-walk
+  EXPECT_THROW((void)dht.query({ObjectId{10}, requester, 1.0}),
+               AssertionError);  // fresh walk over the stale mask
+}
+#endif
 
 // --- AuditBackend ---
 
