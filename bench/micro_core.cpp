@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot data structures: event
-// queue, power-law sampling, Bloom filters, IRQ operations, request-tree
-// construction — and the ring-search suite (BM_Search*) tracked per PR.
+// queue, power-law and catalog sampling, Bloom filters, IRQ operations,
+// request-tree construction — and the ring-search suite (BM_Search*)
+// tracked per PR.
 //
 // The search benches sweep three request-graph shapes at 1k/10k/50k
 // peers:
@@ -40,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/exchange_finder.h"
 #include "core/graph_snapshot.h"
 #include "core/lookup.h"
@@ -96,6 +98,24 @@ void BM_PowerLawSample(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(s.sample(rng));
 }
 BENCHMARK(BM_PowerLawSample)->Arg(300)->Arg(45000);
+
+// One candidate draw of the request loop: an object of a given category
+// by rank popularity, cycling through the categories so every category
+// size (uniform 1..300) is drawn from.
+void BM_CatalogSampleObject(benchmark::State& state) {
+  CatalogConfig cfg;
+  cfg.num_categories = static_cast<std::size_t>(state.range(0));
+  cfg.object_popularity_f = 0.2;
+  Rng build(1);
+  const Catalog cat(cfg, build);
+  Rng rng(2);
+  std::uint32_t c = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cat.sample_object_in(CategoryId{c}, rng));
+    if (++c == cat.num_categories()) c = 0;
+  }
+}
+BENCHMARK(BM_CatalogSampleObject)->Arg(60)->Arg(10000);
 
 void BM_BloomInsertQuery(benchmark::State& state) {
   BloomFilter f = BloomFilter::for_items(1000, 0.02);

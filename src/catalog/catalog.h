@@ -59,6 +59,13 @@ class Catalog {
   /// Samples an object within category c by object popularity.
   [[nodiscard]] ObjectId sample_object_in(CategoryId c, Rng& rng) const;
 
+  /// The rank that a uniform draw `u` in [0, 1] picks in a category of
+  /// `n` objects: the first i with S[i] / S[n-1] >= u, where S is the
+  /// running sum of (j+1)^-f. Those quotients are PowerLawSampler(n, f)'s
+  /// CDF entries bit for bit, so the rank is the one its sample() returns
+  /// for the same u. Requires 1 <= n <= the largest category size.
+  [[nodiscard]] std::size_t object_rank(std::size_t n, double u) const;
+
   [[nodiscard]] const CatalogConfig& config() const { return config_; }
 
  private:
@@ -70,9 +77,17 @@ class Catalog {
   /// category_of_[o] = category of object o.
   std::vector<std::uint32_t> category_of_;
   PowerLawSampler category_sampler_;
-  /// One sampler per distinct category size actually present, built
-  /// lazily-by-construction: object_samplers_[c] indexes samplers_.
-  std::vector<PowerLawSampler> object_samplers_;
+  /// Object ranks of every category share one table: rank_sums_[i] =
+  /// S[i] = sum over j <= i of (j+1)^-f, up to the largest category and
+  /// added in PowerLawSampler's order, so S[i] is the same double for
+  /// every category size.
+  std::vector<double> rank_sums_;
+  /// Guide table over rank_sums_: rank_guide_[b] is the first i with
+  /// S[i] >= b / guide_scale_, two buckets per rank. A draw starts at
+  /// its bucket's entry, so it compares a few CDF entries instead of
+  /// binary-searching a per-category CDF.
+  std::vector<std::uint32_t> rank_guide_;
+  double guide_scale_ = 0.0;  ///< guide buckets per unit of S
 };
 
 }  // namespace p2pex

@@ -2,77 +2,62 @@
 
 #include <algorithm>
 
+#include "util/contracts.h"
+
 namespace p2pex {
 
+LookupService::LookupService(std::size_t num_objects, std::size_t num_peers)
+    : owners_(num_objects), by_peer_(num_peers) {}
+
 void LookupService::add_owner(ObjectId object, PeerId peer) {
-  owners_[object].insert(peer);
-  by_peer_[peer].insert(object);
+  P2PEX_ASSERT(object.valid() && peer.valid());
+  if (object.value >= owners_.size()) owners_.resize(object.value + 1);
+  std::vector<PeerId>& owners = owners_[object.value];
+  const auto it = std::lower_bound(owners.begin(), owners.end(), peer);
+  if (it != owners.end() && *it == peer) return;
+  owners.insert(it, peer);
+  if (peer.value >= by_peer_.size()) by_peer_.resize(peer.value + 1);
+  by_peer_[peer.value].push_back(object);
 }
 
 void LookupService::remove_owner(ObjectId object, PeerId peer) {
-  const auto it = owners_.find(object);
-  if (it == owners_.end()) return;
-  it->second.erase(peer);
-  if (it->second.empty()) owners_.erase(it);
-  const auto rit = by_peer_.find(peer);
-  if (rit != by_peer_.end()) {
-    rit->second.erase(object);
-    if (rit->second.empty()) by_peer_.erase(rit);
-  }
+  if (object.value >= owners_.size()) return;
+  std::vector<PeerId>& owners = owners_[object.value];
+  const auto it = std::lower_bound(owners.begin(), owners.end(), peer);
+  if (it == owners.end() || *it != peer) return;
+  owners.erase(it);
+  std::vector<ObjectId>& held = by_peer_[peer.value];
+  const auto h = std::find(held.begin(), held.end(), object);
+  P2PEX_INVARIANT(h != held.end());
+  *h = held.back();
+  held.pop_back();
 }
 
 void LookupService::remove_peer(PeerId peer) {
-  const auto rit = by_peer_.find(peer);
-  if (rit == by_peer_.end()) return;
-  // p2pex-lint: order-insensitive (erases `peer` from every listed
-  // bucket; the final index state is the same whatever order the
-  // peer's objects are visited)
-  for (ObjectId o : rit->second) {
-    const auto it = owners_.find(o);
-    if (it == owners_.end()) continue;
-    it->second.erase(peer);
-    if (it->second.empty()) owners_.erase(it);
+  if (peer.value >= by_peer_.size()) return;
+  for (const ObjectId o : by_peer_[peer.value]) {
+    std::vector<PeerId>& owners = owners_[o.value];
+    owners.erase(std::lower_bound(owners.begin(), owners.end(), peer));
   }
-  by_peer_.erase(rit);
+  by_peer_[peer.value].clear();
 }
 
 std::vector<PeerId> LookupService::owners(ObjectId object,
                                           PeerId except) const {
-  std::vector<PeerId> out;
-  const auto it = owners_.find(object);
-  if (it == owners_.end()) return out;
-  out.reserve(it->second.size());
-  // p2pex-lint: order-insensitive (collected set is sorted before return)
-  for (PeerId p : it->second)
-    if (p != except) out.push_back(p);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<PeerId> LookupService::query(ObjectId object, PeerId except,
-                                         double fraction, Rng& rng) const {
-  std::vector<PeerId> all = owners(object, except);
-  if (fraction >= 1.0) return all;
+  const std::span<const PeerId> all = owners_of(object);
   std::vector<PeerId> out;
   out.reserve(all.size());
   for (PeerId p : all)
-    if (rng.chance(fraction)) out.push_back(p);
+    if (p != except) out.push_back(p);
   return out;
 }
 
-std::size_t LookupService::owner_count(ObjectId object) const {
-  const auto it = owners_.find(object);
-  return it == owners_.end() ? 0 : it->second.size();
-}
-
 bool LookupService::has_owner(ObjectId object, PeerId peer) const {
-  const auto it = owners_.find(object);
-  return it != owners_.end() && it->second.contains(peer);
+  return std::ranges::binary_search(owners_of(object), peer);
 }
 
 std::size_t LookupService::objects_owned(PeerId peer) const {
-  const auto it = by_peer_.find(peer);
-  return it == by_peer_.end() ? 0 : it->second.size();
+  return peer.value < by_peer_.size() ? by_peer_[peer.value].size() : 0;
 }
 
 }  // namespace p2pex

@@ -15,18 +15,23 @@
 // it under P2PEX_LOOKUP_AUDIT.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
-#include "util/rng.h"
 #include "util/types.h"
 
 namespace p2pex {
 
-/// Global object -> sharing-owners index with sampled queries.
+/// Global object -> sharing-owners index, dense over object and peer ids.
 class LookupService {
  public:
+  /// An empty index that grows to the largest id it is given.
+  LookupService() = default;
+
+  /// An empty index sized for ids below `num_objects` and `num_peers`
+  /// (System passes its catalog and population, which never grow).
+  LookupService(std::size_t num_objects, std::size_t num_peers);
+
   /// Registers that `peer` (a sharing peer) now serves `object`.
   void add_owner(ObjectId object, PeerId peer);
 
@@ -38,32 +43,35 @@ class LookupService {
   /// full-map scan per departure.
   void remove_peer(PeerId peer);
 
-  /// All current owners of `object` except `except` (unsampled, for tests
-  /// and ring-closure ground truth), in ascending peer order.
+  /// All current owners of `object` except `except` (unsampled; the
+  /// oracle backend samples this list), in ascending peer order.
   [[nodiscard]] std::vector<PeerId> owners(ObjectId object,
                                            PeerId except) const;
 
-  /// Simulates one lookup: each owner (excluding `except`) is discovered
-  /// independently with probability `fraction`. Result in ascending peer
-  /// order (determinism), possibly empty.
-  [[nodiscard]] std::vector<PeerId> query(ObjectId object, PeerId except,
-                                          double fraction, Rng& rng) const;
+  [[nodiscard]] std::size_t owner_count(ObjectId object) const {
+    return owners_of(object).size();
+  }
 
-  [[nodiscard]] std::size_t owner_count(ObjectId object) const;
-
-  /// Whether `peer` currently owns `object` (O(1); the discovery audit
-  /// and staleness accounting check backend results against this).
+  /// Whether `peer` currently owns `object` (a binary search of the
+  /// object's owners; the discovery audit and staleness accounting
+  /// check backend results against this).
   [[nodiscard]] bool has_owner(ObjectId object, PeerId peer) const;
 
-  /// Objects `peer` currently owns (unordered view of the reverse
-  /// index; tests sort before comparing).
+  /// Number of objects `peer` currently owns.
   [[nodiscard]] std::size_t objects_owned(PeerId peer) const;
 
  private:
-  std::unordered_map<ObjectId, std::unordered_set<PeerId>> owners_;
-  /// Reverse index: peer -> objects it owns, kept in lockstep with
-  /// owners_ so remove_peer touches only that peer's facts.
-  std::unordered_map<PeerId, std::unordered_set<ObjectId>> by_peer_;
+  [[nodiscard]] std::span<const PeerId> owners_of(ObjectId object) const {
+    if (object.value >= owners_.size()) return {};
+    return owners_[object.value];
+  }
+
+  /// owners_[o]: the peers serving object o, ascending.
+  std::vector<std::vector<PeerId>> owners_;
+  /// Reverse index: by_peer_[p] lists the objects p serves, in no
+  /// particular order, kept in lockstep with owners_ so remove_peer
+  /// touches only that peer's facts.
+  std::vector<std::vector<ObjectId>> by_peer_;
 };
 
 }  // namespace p2pex

@@ -17,6 +17,7 @@ System::System(const SimConfig& config, const PopulationPlan& plan)
     : cfg_(config),
       rng_((config.validate(), validate_plan(plan, config), config.seed)),
       catalog_(cfg_.catalog, rng_),
+      lookup_(catalog_.num_objects(), cfg_.num_peers),
       finder_(cfg_.policy, cfg_.max_ring_size, cfg_.tree_mode,
               cfg_.bloom_hop_budget),
       metrics_(cfg_.warmup()),
@@ -311,8 +312,7 @@ void System::issue_requests(PeerId p) {
 
 bool System::issue_one_request(PeerId p) {
   Peer& peer = peers_[p.value];
-  const bool decentralized =
-      backend_->kind() != discovery::BackendKind::kOracle;
+  const bool oracle = backend_->kind() == discovery::BackendKind::kOracle;
   // "Continue to generate candidate requests until a miss is found";
   // bounded so a pathological configuration cannot spin forever.
   for (int attempt = 0; attempt < 300; ++attempt) {
@@ -324,12 +324,20 @@ bool System::issue_one_request(PeerId p) {
     const ObjectId o = catalog_.sample_object_in(c, rng_);
     if (peer.storage.contains(o) || find_pending(peer, o).valid())
       continue;  // cache hit — ignored per the paper
+    if (oracle && lookup_.owner_count(o) == 0) {
+      // What the oracle would answer, without asking it: it draws once
+      // per owner and charges nothing, and the fault shims below draw
+      // once per surviving owner, so a lookup with no owners consumes no
+      // random number anywhere. Most candidates end here.
+      ++counters_.lookup_failures;
+      continue;
+    }
 
     discovery::LookupResult found =
         backend_->query({o, p, sim_.now()});
     drain_discovery_costs();
     std::vector<PeerId>& discovered = found.providers;
-    if (decentralized) {
+    if (!oracle) {
       // Decentralized-backend quality accounting, against the ground
       // truth the oracle would have read. Counted before the fault
       // shims below so the figures describe the backend, not the fault

@@ -158,8 +158,8 @@ class System final : private discovery::WorldView {
   [[nodiscard]] const Catalog& catalog() const { return catalog_; }
   [[nodiscard]] const LookupService& lookup() const { return lookup_; }
   /// The configured discovery backend (src/discovery; see
-  /// SimConfig::discovery). The oracle default reproduces the old
-  /// LookupService::query path bit-for-bit.
+  /// SimConfig::discovery). The oracle default reproduces the
+  /// pre-backend lookup draw for draw.
   [[nodiscard]] const discovery::LookupBackend& discovery_backend() const {
     return *backend_;
   }

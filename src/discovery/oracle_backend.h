@@ -3,9 +3,9 @@
 //
 // Reads the ground-truth LookupService and samples each owner
 // independently at `lookup_fraction` on the *main* System stream —
-// reproducing LookupService::query draw-for-draw, so a run configured
-// with the oracle (the default) is bit-identical to one built before
-// the redesign. Every pre-existing golden pins this equivalence.
+// the pre-redesign lookup draw-for-draw, so a run configured with the
+// oracle (the default) is bit-identical to one built before the
+// redesign. Every pre-existing golden pins this equivalence.
 #pragma once
 
 #include "discovery/lookup_backend.h"

@@ -1,12 +1,18 @@
 // Tests for the content catalog, interest profiles and storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/interest.h"
 #include "catalog/storage.h"
 #include "util/assert.h"
+#include "util/contracts.h"
+#include "util/power_law.h"
 
 namespace p2pex {
 namespace {
@@ -82,6 +88,93 @@ TEST(Catalog, DeterministicGivenSeed) {
   const Catalog a(small_config(), r1);
   const Catalog b(small_config(), r2);
   EXPECT_EQ(a.num_objects(), b.num_objects());
+}
+
+/// PowerLawSampler(n, f)'s CDF, rebuilt the way its constructor builds
+/// it (the sampler does not expose it).
+std::vector<double> sampler_cdf(std::size_t n, double f) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += std::pow(static_cast<double>(i + 1), -f);
+    cdf[i] = total;
+  }
+  for (auto& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+TEST(Catalog, ObjectRankIsTheSamplerCdfLowerBound) {
+  // Every category size up to 300, at u = 0, at every CDF entry and one
+  // ulp either side of it (within [0, 1], the range of uniform01): the
+  // shared rank table must pick exactly the rank a per-size sampler's
+  // lower_bound picks, boundaries included. Draws next to each of the
+  // 600 guide-bucket boundaries, where a draw's starting rank changes,
+  // are checked too.
+  constexpr std::size_t kLargest = 300;
+  for (const double f : {0.0, 0.2, 0.7, 1.0}) {
+    CatalogConfig cfg;
+    cfg.num_categories = 1;
+    cfg.min_objects_per_category = kLargest;
+    cfg.max_objects_per_category = kLargest;
+    cfg.object_popularity_f = f;
+    Rng rng(21);
+    const Catalog cat(cfg, rng);
+    const std::vector<double> largest = sampler_cdf(kLargest, f);
+    std::size_t checked = 0;
+    for (std::size_t n = 1; n <= kLargest; ++n) {
+      const std::vector<double> cdf = sampler_cdf(n, f);
+      std::vector<double> us{0.0};
+      for (const double c : cdf)
+        for (const double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)})
+          if (u <= 1.0) us.push_back(u);
+      // Bucket b starts at S = b * S[299] / 600, which is u = b / 600 /
+      // (S[n-1] / S[299]) for a category of n objects.
+      for (std::size_t b = 1; b < 2 * kLargest; ++b) {
+        const double edge = static_cast<double>(b) /
+                             static_cast<double>(2 * kLargest) / largest[n - 1];
+        for (const double u : {std::nextafter(std::nextafter(edge, 0.0), 0.0),
+                               std::nextafter(edge, 0.0), edge,
+                               std::nextafter(edge, 2.0),
+                               std::nextafter(std::nextafter(edge, 2.0), 2.0)})
+          if (u < 1.0) us.push_back(u);
+      }
+      for (const double u : us) {
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(cat.object_rank(n, u), want)
+            << "f " << f << " n " << n << " u " << u;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 3 * kLargest * kLargest / 2);
+  }
+}
+
+TEST(Catalog, SampleObjectMatchesPerCategorySamplers) {
+  // 10^5 draws on the default size range, at heavy_churn.scn's 60
+  // categories and at million_peer.scn's 10 000: each draw equals a draw
+  // on an identically seeded stream from PowerLawSampler(category size,
+  // f).
+  for (const std::size_t categories : {60u, 10000u}) {
+    CatalogConfig cfg;
+    cfg.num_categories = categories;
+    Rng build(categories);
+    const Catalog cat(cfg, build);
+    std::map<std::size_t, PowerLawSampler> samplers;
+    Rng pick(7);
+    Rng a(11);
+    Rng b(11);
+    for (int i = 0; i < 100000; ++i) {
+      const CategoryId c{narrow_u32(pick.index(cat.num_categories()))};
+      const std::size_t n = cat.category_size(c);
+      const auto it =
+          samplers.try_emplace(n, n, cfg.object_popularity_f).first;
+      const ObjectId want = cat.object_at(c, it->second.sample(b));
+      ASSERT_EQ(cat.sample_object_in(c, a), want)
+          << categories << " categories, draw " << i;
+    }
+  }
 }
 
 TEST(Interest, DistinctCategories) {

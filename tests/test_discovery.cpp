@@ -1,8 +1,8 @@
 // Discovery-backend suite (src/discovery).
 //
 // Unit coverage for the LookupBackend redesign: the ground-truth
-// LookupService reverse index, oracle bit-exactness against the old
-// query path, PEX gossip semantics (spread, TTL, digest bounds,
+// LookupService reverse index (and the dense index against the hash-map
+// one it replaced), oracle bit-exactness against the old query path, PEX gossip semantics (spread, TTL, digest bounds,
 // staleness, determinism), DHT routing (store sets, publish/query
 // walks, holes, budgets, unpublish, the routing cache against the
 // uncached reference walk) and the oracle-backed audit
@@ -17,6 +17,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -111,7 +113,165 @@ TEST(LookupReverseIndex, RemoveOwnerMaintainsBothSides) {
   EXPECT_EQ(l.owner_count(ObjectId{2}), 0u);
 }
 
+/// The hash-map LookupService the dense index replaced, kept verbatim
+/// (minus its sampled query) as the reference for the differential test.
+class HashLookupReference {
+ public:
+  void add_owner(ObjectId object, PeerId peer) {
+    owners_[object].insert(peer);
+    by_peer_[peer].insert(object);
+  }
+  void remove_owner(ObjectId object, PeerId peer) {
+    const auto it = owners_.find(object);
+    if (it == owners_.end()) return;
+    it->second.erase(peer);
+    if (it->second.empty()) owners_.erase(it);
+    const auto rit = by_peer_.find(peer);
+    if (rit != by_peer_.end()) {
+      rit->second.erase(object);
+      if (rit->second.empty()) by_peer_.erase(rit);
+    }
+  }
+  void remove_peer(PeerId peer) {
+    const auto rit = by_peer_.find(peer);
+    if (rit == by_peer_.end()) return;
+    for (ObjectId o : rit->second) {
+      const auto it = owners_.find(o);
+      if (it == owners_.end()) continue;
+      it->second.erase(peer);
+      if (it->second.empty()) owners_.erase(it);
+    }
+    by_peer_.erase(rit);
+  }
+  [[nodiscard]] std::vector<PeerId> owners(ObjectId object,
+                                           PeerId except) const {
+    std::vector<PeerId> out;
+    const auto it = owners_.find(object);
+    if (it == owners_.end()) return out;
+    out.reserve(it->second.size());
+    for (PeerId p : it->second)
+      if (p != except) out.push_back(p);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  [[nodiscard]] std::size_t owner_count(ObjectId object) const {
+    const auto it = owners_.find(object);
+    return it == owners_.end() ? 0 : it->second.size();
+  }
+  [[nodiscard]] bool has_owner(ObjectId object, PeerId peer) const {
+    const auto it = owners_.find(object);
+    return it != owners_.end() && it->second.contains(peer);
+  }
+  [[nodiscard]] std::size_t objects_owned(PeerId peer) const {
+    const auto it = by_peer_.find(peer);
+    return it == by_peer_.end() ? 0 : it->second.size();
+  }
+
+ private:
+  std::unordered_map<ObjectId, std::unordered_set<PeerId>> owners_;
+  std::unordered_map<PeerId, std::unordered_set<ObjectId>> by_peer_;
+};
+
+/// First difference between `got` and `want` over every object below
+/// `objects` and every peer below `peers`, or "" when they agree.
+/// owners() is compared both unfiltered and without `except`.
+std::string index_mismatch(const LookupService& got,
+                           const HashLookupReference& want,
+                           std::uint32_t objects, std::uint32_t peers,
+                           PeerId except) {
+  for (std::uint32_t p = 0; p < peers; ++p)
+    if (got.objects_owned(PeerId{p}) != want.objects_owned(PeerId{p}))
+      return "objects_owned of peer " + std::to_string(p);
+  for (std::uint32_t o = 0; o < objects; ++o) {
+    const ObjectId object{o};
+    const std::string at = " of object " + std::to_string(o);
+    if (got.owner_count(object) != want.owner_count(object))
+      return "owner_count" + at;
+    if (got.owners(object, PeerId{}) != want.owners(object, PeerId{}))
+      return "owners" + at;
+    if (got.owners(object, except) != want.owners(object, except))
+      return "owners except the last peer" + at;
+    for (std::uint32_t p = 0; p < peers; ++p)
+      if (got.has_owner(object, PeerId{p}) !=
+          want.has_owner(object, PeerId{p}))
+        return "has_owner of peer " + std::to_string(p) + at;
+  }
+  return "";
+}
+
+TEST(LookupReverseIndex, DenseIndexMatchesHashMapReference) {
+  // Seeded random upkeep over 64 objects x 32 peers, mirrored into the
+  // old hash-map index. Ids run past both sizes, so removals of absent
+  // facts and lazy growth happen; adds repeat, and removed peers are
+  // drawn again and re-added. Both a System-sized and a default
+  // (lazily growing) index must match the reference after every call.
+  constexpr std::uint32_t kObjects = 64;
+  constexpr std::uint32_t kPeers = 32;
+  constexpr std::uint32_t kObjectIds = kObjects + 8;
+  constexpr std::uint32_t kPeerIds = kPeers + 4;
+  std::size_t duplicate_adds = 0;
+  std::size_t absent_removals = 0;
+  std::size_t readded_peers = 0;
+  std::size_t peak_facts = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    LookupService sized(kObjects, kPeers);
+    LookupService lazy;
+    HashLookupReference ref;
+    std::vector<bool> dropped(kPeerIds, false);
+    std::size_t facts = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const ObjectId o{narrow_u32(rng.index(kObjectIds))};
+      const PeerId p{narrow_u32(rng.index(kPeerIds))};
+      const double op = rng.uniform01();
+      if (op < 0.6) {
+        if (ref.has_owner(o, p)) ++duplicate_adds;
+        if (dropped[p.value]) ++readded_peers;
+        dropped[p.value] = false;
+        for (LookupService* l : {&sized, &lazy}) l->add_owner(o, p);
+        ref.add_owner(o, p);
+      } else if (op < 0.98) {
+        if (!ref.has_owner(o, p)) ++absent_removals;
+        for (LookupService* l : {&sized, &lazy}) l->remove_owner(o, p);
+        ref.remove_owner(o, p);
+      } else {
+        dropped[p.value] = ref.objects_owned(p) > 0;
+        for (LookupService* l : {&sized, &lazy}) l->remove_peer(p);
+        ref.remove_peer(p);
+      }
+      ASSERT_EQ(index_mismatch(sized, ref, kObjectIds, kPeerIds, p), "")
+          << "sized index, seed " << seed << " step " << step;
+      ASSERT_EQ(index_mismatch(lazy, ref, kObjectIds, kPeerIds, p), "")
+          << "lazy index, seed " << seed << " step " << step;
+      facts = 0;
+      for (std::uint32_t q = 0; q < kPeerIds; ++q)
+        facts += ref.objects_owned(PeerId{q});
+      peak_facts = std::max(peak_facts, facts);
+    }
+  }
+  // The sequences did exercise what the test claims to cover.
+  EXPECT_GT(duplicate_adds, 100u);
+  EXPECT_GT(absent_removals, 100u);
+  EXPECT_GT(readded_peers, 50u);
+  EXPECT_GT(peak_facts, 500u);
+}
+
 // --- OracleBackend: bit-exact with the pre-redesign query path ---
+
+/// The sampled lookup that LookupService::query ran before the oracle
+/// backend took it over: each owner other than `except` is kept with
+/// probability `fraction`, one draw per owner in ascending peer order,
+/// and no draw at all at fraction 1.
+std::vector<PeerId> sampled_owners(const LookupService& l, ObjectId object,
+                                   PeerId except, double fraction, Rng& rng) {
+  std::vector<PeerId> all = l.owners(object, except);
+  if (fraction >= 1.0) return all;
+  std::vector<PeerId> out;
+  out.reserve(all.size());
+  for (PeerId p : all)
+    if (rng.chance(fraction)) out.push_back(p);
+  return out;
+}
 
 TEST(OracleBackend, ReproducesLookupServiceDrawForDraw) {
   LookupService truth;
@@ -126,7 +286,8 @@ TEST(OracleBackend, ReproducesLookupServiceDrawForDraw) {
     for (std::uint32_t i = 0; i < 40; ++i) {
       const ObjectId o{i % 5};
       const PeerId req{i % 20};
-      const std::vector<PeerId> want = truth.query(o, req, fraction, a);
+      const std::vector<PeerId> want =
+          sampled_owners(truth, o, req, fraction, a);
       const LookupResult got = oracle.query({o, req, static_cast<double>(i)});
       EXPECT_EQ(got.providers, want) << "fraction " << fraction << " i " << i;
       EXPECT_TRUE(got.ages.empty());  // authoritative answers
