@@ -46,8 +46,6 @@
 #include "core/graph_snapshot.h"
 #include "core/lookup.h"
 #include "core/system.h"
-#include "core/parallel/shard_map.h"
-#include "core/parallel/worker_pool.h"
 #include "discovery/lookup_backend.h"
 #include "obs/trace.h"
 #include "proto/irq.h"
@@ -404,130 +402,6 @@ BENCHMARK(BM_ChurnedSearchDense)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ChurnedSearchDenseFullRebuild)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ChurnedSearchSparse)->Arg(10000)->Arg(50000);
 BENCHMARK(BM_ChurnedSearchSparseFullRebuild)->Arg(10000)->Arg(50000);
-
-// --- parallel search: thread sweeps over the worker pool ------------------
-//
-// BM_ParallelSearchDense is the parallel engine's speculation phase in
-// isolation: a batch of independent ring searches over the immutable
-// 10k-peer dense snapshot, sharded across a WorkerPool with one
-// ExchangeFinder per shard (the production configuration). Wall time per
-// batch (UseRealTime) is the scaling figure CI tracks — the searches are
-// read-only and embarrassingly parallel, so throughput should scale with
-// hardware threads. BM_ParallelChurned adds the serial coordinator work
-// the real engine interleaves: each epoch mutates rows and patches the
-// snapshot on the calling thread, then fans a search batch out to the
-// pool — the Amdahl check that maintenance stays small next to the
-// parallel phase.
-
-constexpr std::size_t kParallelSearchBatch = 512;
-
-/// Per-shard finder set shared across bench iterations (scratch stays
-/// warm, matching the engine's persistent worker finders).
-std::vector<std::unique_ptr<ExchangeFinder>> make_finders(
-    std::size_t threads, const GraphSnapshot& g) {
-  std::vector<std::unique_ptr<ExchangeFinder>> finders;
-  finders.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    finders.push_back(std::make_unique<ExchangeFinder>(
-        ExchangePolicy::kShortestFirst, 5, TreeMode::kFullTree));
-    (void)finders.back()->find(g, PeerId{0}, 8);  // warm the scratch
-  }
-  return finders;
-}
-
-void BM_ParallelSearchDense(benchmark::State& state) {
-  const std::size_t n = 10000;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const GraphSnapshot& g = graph_for(GraphKind::kDense, n);
-  parallel::WorkerPool pool(threads);
-  auto finders = make_finders(threads, g);
-  std::vector<std::uint64_t> rings_by_shard(threads, 0);
-  const parallel::ShardMap map(kParallelSearchBatch, threads);
-  std::uint32_t base = 0;
-  for (auto _ : state) {
-    pool.run(threads, [&](std::size_t s) {
-      ExchangeFinder& f = *finders[s];
-      std::uint64_t local = 0;
-      const parallel::ShardRange range = map.range(s);
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        const auto root = static_cast<std::uint32_t>(
-            (base + i * 7919) % n);
-        local += f.find(g, PeerId{root}, 8).size();
-      }
-      rings_by_shard[s] += local;
-    });
-    base = static_cast<std::uint32_t>((base + kParallelSearchBatch * 7919) % n);
-  }
-  std::uint64_t rings = 0;
-  for (const std::uint64_t r : rings_by_shard) rings += r;
-  const auto searches =
-      static_cast<double>(state.iterations()) * kParallelSearchBatch;
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kParallelSearchBatch));
-  state.counters["searches_per_sec"] = benchmark::Counter(
-      searches, benchmark::Counter::kIsRate);
-  state.counters["rings_per_search"] = benchmark::Counter(
-      static_cast<double>(rings) / std::max(1.0, searches));
-}
-BENCHMARK(BM_ParallelSearchDense)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-void BM_ParallelChurned(benchmark::State& state) {
-  const std::size_t n = 10000;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  ChurnedGraph g(GraphKind::kDense, n);
-  parallel::WorkerPool pool(threads);
-  auto finders = make_finders(threads, g.snapshot());
-  std::vector<std::uint64_t> rings_by_shard(threads, 0);
-  constexpr std::size_t kSearchesPerEpoch = 128;
-  const parallel::ShardMap map(kSearchesPerEpoch, threads);
-  std::uint64_t maint_ns = 0;
-  std::uint32_t base = 0;
-  for (auto _ : state) {
-    // Serial coordinator work: mutate rows, patch the snapshot.
-    const auto t0 = std::chrono::steady_clock::now();
-    g.mutate(kChurnDirtyPerEpoch);
-    g.maintain_patch();
-    maint_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    // Parallel phase: the epoch's search batch over the fresh snapshot.
-    const GraphSnapshot& snap = g.snapshot();
-    pool.run(threads, [&](std::size_t s) {
-      ExchangeFinder& f = *finders[s];
-      std::uint64_t local = 0;
-      const parallel::ShardRange range = map.range(s);
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        const auto root = static_cast<std::uint32_t>(
-            (base + i * 7919) % n);
-        local += f.find(snap, PeerId{root}, 8).size();
-      }
-      rings_by_shard[s] += local;
-    });
-    base = static_cast<std::uint32_t>((base + kSearchesPerEpoch * 7919) % n);
-  }
-  const auto iters =
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-  state.SetItemsProcessed(state.iterations());
-  state.counters["maint_us_per_epoch"] =
-      benchmark::Counter(static_cast<double>(maint_ns) / 1000.0 / iters);
-  state.counters["searches_per_sec"] = benchmark::Counter(
-      iters * static_cast<double>(kSearchesPerEpoch),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ParallelChurned)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 // --- crash churn over the full System --------------------------------------
 //

@@ -3,21 +3,19 @@
 //
 //   ./build/examples/scenario_runner examples/flash_crowd.scn
 //   ./build/examples/scenario_runner --print examples/flash_crowd.scn
-//   ./build/examples/scenario_runner --threads 8 examples/flash_crowd.scn
 //   ./build/examples/scenario_runner --stable examples/flash_crowd.scn
 //   ./build/examples/scenario_runner --metrics-json out.json
 //       --trace out.trace.json examples/flash_crowd.scn
 //
 // --print dumps the parsed scenario back in canonical form (useful to
 // check what a hand-written file actually means) without running it.
-// --threads N overrides the scenario's worker-thread knob (execution
-// strategy only: results are bit-identical at any thread count).
+// --threads N overrides the scenario's `threads` knob, which is
+// validated and echoed in the config line but has no effect (runs are
+// serial).
 // --lookup overrides the scenario's discovery backend (`set
 // lookup_backend ...`), so one .scn compares oracle vs pex vs dht.
 // --stable omits the wall-clock figures from the output, so two runs of
-// the same scenario — at any thread counts — must be byte-identical;
-// the CI replay-determinism job diffs exactly this output across
-// threads=1/2/8.
+// the same scenario must be byte-identical.
 // --metrics-json writes the MetricsRegistry snapshot. Under --stable
 // the timing domain is omitted, so the file joins the byte-identical
 // replay contract; without --stable it carries the timing domain too.
@@ -96,10 +94,6 @@ int main(int argc, char** argv) {
   try {
     spec = scenario::Spec::parse_file(path);
     if (threads_override != 0) {
-      // An explicit flag must win outright: drop any ambient
-      // P2PEX_THREADS, which would otherwise override a --threads 1
-      // (indistinguishable from the config default).
-      unsetenv("P2PEX_THREADS");
       spec.config.threads = threads_override;
       spec.validate();
     }
@@ -181,7 +175,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(c.stale_entries_served));
   if (stable) {
     // Deterministic subset only: no wall-clock time, nothing that
-    // varies with the thread count or the machine.
+    // varies with the machine.
     std::printf("snapshot: %llu full rebuilds, %llu patches (%llu dirty rows)\n",
                 static_cast<unsigned long long>(r.snapshot_rebuilds),
                 static_cast<unsigned long long>(r.snapshot_patches),
@@ -194,20 +188,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.snapshot_patches),
         static_cast<unsigned long long>(r.dirty_rows_patched),
         r.snapshot_build_seconds * 1e3);
-    const SpeculationStats& sp = system.speculation_stats();
-    const double consumed_pct =
-        sp.speculated == 0 ? 0.0
-                           : 100.0 * static_cast<double>(sp.consumed) /
-                                 static_cast<double>(sp.speculated);
-    std::printf(
-        "parallel: %zu threads, %llu speculation passes "
-        "(%llu searches: %llu consumed = %.1f%%, %llu stale, %llu unused)\n",
-        system.threads(),
-        static_cast<unsigned long long>(sp.passes),
-        static_cast<unsigned long long>(sp.speculated),
-        static_cast<unsigned long long>(sp.consumed), consumed_pct,
-        static_cast<unsigned long long>(sp.stale),
-        static_cast<unsigned long long>(sp.unused));
   }
   std::printf("\n%s", format_report(system.metrics(), c).c_str());
 
@@ -246,7 +226,7 @@ int main(int argc, char** argv) {
 
   if (!metrics_path.empty()) {
     // --stable exports the deterministic domain only: the file is part
-    // of the cross-thread byte-identical replay contract.
+    // of the byte-identical replay contract.
     const obs::MetricsRegistry& reg = system.metrics_registry();
     if (!write_file(metrics_path, reg.to_json(/*include_timing=*/!stable)))
       return 1;

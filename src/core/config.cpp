@@ -1,6 +1,5 @@
 #include "core/config.h"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace p2pex {
@@ -75,24 +74,6 @@ void SimConfig::validate() const {
     fail("retry max_attempts must be positive");
   if (threads < 1 || threads > kMaxThreads)
     fail("threads must be in [1, " + std::to_string(kMaxThreads) + "]");
-}
-
-std::size_t SimConfig::effective_threads() const {
-  std::size_t t = threads;
-  if (t == 1) {
-    if (const char* env = std::getenv("P2PEX_THREADS");
-        env != nullptr && *env != '\0' &&
-        // strtoul silently wraps negative input ("-1" -> ULONG_MAX);
-        // reject it up front so a typo can't spawn kMaxThreads workers.
-        std::string(env).find('-') == std::string::npos) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed >= 1) t = parsed;
-    }
-  }
-  if (t < 1) t = 1;
-  if (t > kMaxThreads) t = kMaxThreads;
-  return t;
 }
 
 std::string SimConfig::describe() const {

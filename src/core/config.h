@@ -112,15 +112,11 @@ struct SimConfig {
   /// Fraction of sim_duration treated as warmup (excluded from metrics).
   double warmup_fraction = 0.2;
   std::uint64_t seed = 1;
-  /// Worker threads for the parallel engine's read-only phases (ring
-  /// searches over the immutable GraphSnapshot); 1 = fully serial. This
-  /// is an execution-strategy knob, not an experiment parameter: the
-  /// engine's effect-queue merge guarantees bit-identical results for
-  /// every thread count (the replay CI matrix and the shard-invariance
-  /// fuzz suite enforce it), so it never changes what a (seed, config)
-  /// pair computes — only how fast.
+  /// Accepted, validated and echoed, but has no effect: every run is
+  /// serial. Kept so existing scenarios and command lines that set it
+  /// still work.
   std::size_t threads = 1;
-  /// Hard cap on `threads` (and the P2PEX_THREADS override).
+  /// Hard cap on `threads`.
   static constexpr std::size_t kMaxThreads = 256;
 
   // --- derived ---
@@ -132,15 +128,6 @@ struct SimConfig {
   }
   [[nodiscard]] Rate slot_rate() const { return kbps_to_bytes_per_sec(slot_kbps); }
   [[nodiscard]] SimTime warmup() const { return sim_duration * warmup_fraction; }
-
-  /// The worker count the engine actually uses: `threads` unless it is
-  /// 1, in which case a set P2PEX_THREADS environment variable takes
-  /// over (clamped to [1, kMaxThreads]). An explicit `threads = 1`
-  /// cannot be told apart from the default, so it too is overridden —
-  /// unset the variable to force serial execution. Because results are
-  /// thread-count invariant, the override is safe to apply wholesale —
-  /// the CI replay matrix runs the entire suite under it.
-  [[nodiscard]] std::size_t effective_threads() const;
 
   /// Throws ConfigError with an actionable message if inconsistent.
   void validate() const;

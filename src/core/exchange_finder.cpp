@@ -2,35 +2,11 @@
 
 #include <algorithm>
 
-#include "core/parallel/shard_map.h"
-#include "core/parallel/worker_pool.h"
 #include "util/assert.h"
 #include "util/contracts.h"
 #include "util/sort.h"
 
 namespace p2pex {
-
-namespace {
-/// Runs body(i) for i in [0, count), sharded over `pool` when one is
-/// given. Only sound for bodies whose writes are i-indexed (disjoint
-/// slots) — the summary maintenance loops below qualify — so the result
-/// cannot depend on scheduling and stays bit-identical to the serial
-/// loop. Over-sharding (4x threads) smooths skew from uneven row sizes.
-template <class Body>
-void parallel_for(parallel::WorkerPool* pool, std::size_t count,
-                  const Body& body) {
-  if (pool == nullptr || count < 2) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  const std::size_t shards = std::min(count, pool->threads() * 4);
-  const parallel::ShardMap map(count, shards);
-  pool->run(shards, [&](std::size_t s) {
-    const parallel::ShardRange r = map.range(s);
-    for (std::size_t i = r.begin; i < r.end; ++i) body(i);
-  });
-}
-}  // namespace
 
 ExchangeFinder::ExchangeFinder(ExchangePolicy policy,
                                std::size_t max_ring_size, TreeMode mode,
@@ -49,17 +25,9 @@ void ExchangeFinder::set_policy(ExchangePolicy policy,
   max_ring_ = policy == ExchangePolicy::kPairwiseOnly ? 2 : max_ring_size;
 }
 
-void ExchangeFinder::sync_with(const ExchangeFinder& master) {
-  policy_ = master.policy_;
-  max_ring_ = master.max_ring_;
-  mode_ = master.mode_;
-  hop_budget_ = master.hop_budget_;
-}
-
 std::vector<RingProposal> ExchangeFinder::find(const GraphSnapshot& view,
                                                PeerId root,
                                                std::size_t max_candidates) {
-  read_set_.clear();
   if (policy_ == ExchangePolicy::kNoExchange || max_candidates == 0) return {};
   ++stats_.searches;
   auto out = mode_ == TreeMode::kFullTree
@@ -153,13 +121,7 @@ std::vector<RingProposal> ExchangeFinder::find_full(
         if (auto proposal = make_proposal(view, path_, closures[ci].object)) {
           out.push_back(std::move(*proposal));
           ++stats_.discovered;
-          if (shortest_first && out.size() >= max_candidates) {
-            // Read set: every discovered node (a superset of the expanded
-            // rows this truncated search actually consumed).
-            if (record_read_sets_)
-              read_set_.assign(frontier_.begin(), frontier_.end());
-            return out;
-          }
+          if (shortest_first && out.size() >= max_candidates) return out;
         }
       }
     }
@@ -172,11 +134,6 @@ std::vector<RingProposal> ExchangeFinder::find_full(
       frontier_.push_back(child);
     }
   }
-
-  // Read set: the BFS visit set — the root plus every node whose
-  // requester row was (or could have been) expanded. The search result
-  // is a pure function of these snapshot rows.
-  if (record_read_sets_) read_set_.assign(frontier_.begin(), frontier_.end());
 
   if (!shortest_first) {
     // kLongestFirst: prefer the deepest rings; stable to keep BFS order
@@ -193,8 +150,7 @@ std::vector<RingProposal> ExchangeFinder::find_full(
 
 void ExchangeFinder::rebuild_summaries(const GraphSnapshot& view,
                                        std::size_t expected_per_level,
-                                       double fpp,
-                                       parallel::WorkerPool* pool) {
+                                       double fpp) {
   const std::size_t n = view.num_peers();
   const std::size_t levels = max_ring_ >= 2 ? max_ring_ - 1 : 1;
   summaries_.clear();
@@ -216,40 +172,36 @@ void ExchangeFinder::rebuild_summaries(const GraphSnapshot& view,
     sum_parents_[i].clear();
   }
 
-  // Level 1: each peer's direct requesters. Captured rows and filter
-  // inserts write only peer i's slots, so the loop shards; the reverse
-  // index scatters across peers and stays serial.
-  parallel_for(pool, n, [&](std::size_t i) {
-    const std::span<const PeerId> row =
-        view.requesters_of(PeerId{narrow_u32(i)});
+  // Level 1: each peer's direct requesters, plus the reverse index.
+  for (std::size_t i = 0; i < n; ++i) {
+    const PeerId p{narrow_u32(i)};
+    const std::span<const PeerId> row = view.requesters_of(p);
     sum_children_[i].assign(row.begin(), row.end());
-    for (const PeerId r : row) summaries_[i].insert(1, r);
-  });
-  for (std::size_t i = 0; i < n; ++i)
-    for (const PeerId r : sum_children_[i])
-      if (r.value < n)
-        sum_parents_[r.value].push_back(PeerId{narrow_u32(i)});
+    for (const PeerId r : row) {
+      summaries_[i].insert(1, r);
+      if (r.value < n) sum_parents_[r.value].push_back(p);
+    }
+  }
 
   // Level k = union of the children's level k-1 filters — exactly the
   // protocol's merge of forwarded summaries, so false positives compound
   // with depth as they would on the wire. Writing level k only reads
   // level k-1 (distinct storage even on the same summary), so in-place
-  // iteration is sound — serial and sharded alike.
+  // iteration is sound.
   for (std::size_t k = 2; k <= levels; ++k) {
-    parallel_for(pool, n, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       for (const PeerId r : sum_children_[i]) {
         if (r.value >= n) continue;
         summaries_[i].merge_into_level(k, summaries_[r.value].level(k - 1));
       }
-    });
+    }
   }
 }
 
 void ExchangeFinder::refresh_summaries(const GraphSnapshot& view,
                                        std::span<const PeerId> dirty_rows,
                                        std::size_t expected_per_level,
-                                       double fpp,
-                                       parallel::WorkerPool* pool) {
+                                       double fpp) {
   const std::size_t n = view.num_peers();
   const std::size_t levels = max_ring_ >= 2 ? max_ring_ - 1 : 1;
   // A geometry change (population, level count, filter sizing) or a
@@ -257,7 +209,7 @@ void ExchangeFinder::refresh_summaries(const GraphSnapshot& view,
   if (summaries_.size() != n || sum_levels_ != levels ||
       sum_expected_ != expected_per_level || sum_fpp_ != fpp ||
       dirty_rows.size() * 2 >= n) {
-    rebuild_summaries(view, expected_per_level, fpp, pool);
+    rebuild_summaries(view, expected_per_level, fpp);
     return;
   }
 
@@ -281,15 +233,12 @@ void ExchangeFinder::refresh_summaries(const GraphSnapshot& view,
       if (c.value < n) sum_parents_[c.value].push_back(p);
   }
 
-  // Level 1: only the dirty rows' own requester sets moved. Each
-  // iteration writes only its own peer's summary (dirty rows are
-  // distinct), so the loop shards like the rebuild's.
-  parallel_for(pool, dirty_rows.size(), [&](std::size_t i) {
-    const PeerId p = dirty_rows[i];
+  // Level 1: only the dirty rows' own requester sets moved.
+  for (const PeerId p : dirty_rows) {
     BloomTreeSummary& s = summaries_[p.value];
     s.clear_level(1);
     for (const PeerId c : sum_children_[p.value]) s.insert(1, c);
-  });
+  }
 
   // Level k: a peer's level k moved iff its own row changed or some
   // child's level k-1 moved — the reverse index walks exactly that
@@ -312,18 +261,14 @@ void ExchangeFinder::refresh_summaries(const GraphSnapshot& view,
         next_affected_.push_back(q);
       }
     }
-    // The frontier walk above is serial (scattered stamp writes); the
-    // recompute below writes only q's level k and reads level k-1, so
-    // it shards (next_affected_ entries are stamp-deduped distinct).
-    parallel_for(pool, next_affected_.size(), [&](std::size_t i) {
-      const PeerId q = next_affected_[i];
+    for (const PeerId q : next_affected_) {
       BloomTreeSummary& s = summaries_[q.value];
       s.clear_level(k);
       for (const PeerId c : sum_children_[q.value]) {
         if (c.value >= n) continue;
         s.merge_into_level(k, summaries_[c.value].level(k - 1));
       }
-    });
+    }
     affected_.swap(next_affected_);
   }
 }
@@ -338,9 +283,6 @@ bool ExchangeFinder::reconstruct_hops(const GraphSnapshot& view, PeerId node,
     return false;
   }
   --budget;
-  if (record_read_sets_)
-    read_set_.push_back(node);  // this node's requester row is read below
-  const std::vector<BloomTreeSummary>& sums = active_summaries();
   for (const PeerId child : view.requesters_of(node)) {
     if (std::find(path_.begin(), path_.end(), child) != path_.end()) continue;
     if (remaining == 1) {
@@ -350,8 +292,8 @@ bool ExchangeFinder::reconstruct_hops(const GraphSnapshot& view, PeerId node,
       }
       continue;
     }
-    if (child.value >= sums.size()) continue;
-    if (!sums[child.value].maybe_at_level(remaining - 1, target))
+    if (child.value >= summaries_.size()) continue;
+    if (!summaries_[child.value].maybe_at_level(remaining - 1, target))
       continue;
     path_.push_back(child);
     if (reconstruct_hops(view, child, target, remaining - 1, budget))
@@ -369,14 +311,11 @@ bool ExchangeFinder::reconstruct_hops(const GraphSnapshot& view, PeerId node,
 std::vector<RingProposal> ExchangeFinder::find_bloom(
     const GraphSnapshot& view, PeerId root, std::size_t max_candidates) {
   std::vector<RingProposal> out;
-  const std::vector<BloomTreeSummary>& sums = active_summaries();
-  if (sums.size() != view.num_peers()) return out;  // not built yet
+  if (summaries_.size() != view.num_peers()) return out;  // not built yet
 
-  if (record_read_sets_)
-    read_set_.push_back(root);  // want rows + closing-link lookups
   hits_.clear();
   const std::size_t max_level = max_ring_ >= 2 ? max_ring_ - 1 : 1;
-  const auto& mine = sums[root.value];
+  const auto& mine = summaries_[root.value];
   for (const WantEdge& w : view.want_providers(root)) {
     const std::size_t k = mine.first_level_maybe(w.provider, max_level);
     if (k != 0) {

@@ -37,10 +37,6 @@
 
 namespace p2pex {
 
-namespace parallel {
-class WorkerPool;
-}
-
 /// Search statistics (Bloom-mode ablation reporting).
 ///
 /// Glossary:
@@ -72,8 +68,7 @@ struct FinderStats {
   friend constexpr bool operator==(const FinderStats&,
                                    const FinderStats&) = default;
 
-  /// Field-wise accumulation — how a speculated search's delta is folded
-  /// into the master finder at merge time (see System::ring_candidates).
+  /// Field-wise accumulation (totals over several runs).
   constexpr FinderStats& operator+=(const FinderStats& d) {
     searches += d.searches;
     discovered += d.discovered;
@@ -85,21 +80,6 @@ struct FinderStats {
     bloom_budget_exhausted += d.bloom_budget_exhausted;
     nodes_visited += d.nodes_visited;
     return *this;
-  }
-
-  /// Field-wise difference (per-search delta: after - before).
-  [[nodiscard]] friend constexpr FinderStats operator-(FinderStats a,
-                                                       const FinderStats& b) {
-    a.searches -= b.searches;
-    a.discovered -= b.discovered;
-    a.candidates -= b.candidates;
-    a.bloom_detections -= b.bloom_detections;
-    a.bloom_reconstructions -= b.bloom_reconstructions;
-    a.bloom_dead_ends -= b.bloom_dead_ends;
-    a.bloom_branch_dead_ends -= b.bloom_branch_dead_ends;
-    a.bloom_budget_exhausted -= b.bloom_budget_exhausted;
-    a.nodes_visited -= b.nodes_visited;
-    return a;
   }
 };
 
@@ -128,14 +108,8 @@ class ExchangeFinder {
   /// incremental summary propagation latency). Also captures the child
   /// rows and their reverse (parent) index so later refreshes can
   /// propagate dirtiness level by level.
-  ///
-  /// A non-null `pool` shards the per-peer filter work (inserts and
-  /// level merges — disjoint i-indexed writes reading only the previous
-  /// level) across its workers; the reverse-index build stays serial.
-  /// The result is bit-identical with any pool shape, nullptr included.
   void rebuild_summaries(const GraphSnapshot& view,
-                         std::size_t expected_per_level, double fpp,
-                         parallel::WorkerPool* pool = nullptr);
+                         std::size_t expected_per_level, double fpp);
 
   /// Incremental form of rebuild_summaries: `dirty_rows` names the
   /// peers whose requester rows may have changed since the last
@@ -145,12 +119,9 @@ class ExchangeFinder {
   /// producing summaries bit-identical to a full rebuild. Falls back to
   /// rebuild_summaries when the geometry changed or the dirty set
   /// covers most of the population.
-  /// `pool` parallelizes the per-level recompute exactly as in
-  /// rebuild_summaries (the frontier walk itself stays serial).
   void refresh_summaries(const GraphSnapshot& view,
                          std::span<const PeerId> dirty_rows,
-                         std::size_t expected_per_level, double fpp,
-                         parallel::WorkerPool* pool = nullptr);
+                         std::size_t expected_per_level, double fpp);
 
   /// Test/audit access to the per-peer summaries (kBloom mode).
   [[nodiscard]] const std::vector<BloomTreeSummary>& summaries() const {
@@ -161,45 +132,6 @@ class ExchangeFinder {
   /// survive; in kBloom mode the caller must rebuild_summaries() so the
   /// per-level summaries match a grown cap.
   void set_policy(ExchangePolicy policy, std::size_t max_ring_size);
-
-  // --- parallel-engine hooks (per-worker finder instances) ---
-
-  /// Matches this finder's search configuration (policy, ring cap, tree
-  /// mode, hop budget) to `master`'s. Scratch and stats survive; worker
-  /// finders call this before every speculation pass so mid-run
-  /// policy/mode flips propagate.
-  void sync_with(const ExchangeFinder& master);
-
-  /// Serves Bloom-mode searches from `master`'s summaries instead of
-  /// this finder's own (which stay empty on workers). The borrow is a
-  /// read-only alias: it is only safe while `master` is not rebuilding
-  /// or refreshing — the System guarantees that during a parallel phase
-  /// (summaries refresh on the serial sweep, never mid-drain).
-  void borrow_summaries(const ExchangeFinder& master) {
-    borrowed_summaries_ = &master.summaries_;
-  }
-
-  /// Enables read-set recording (off by default: serial and merge-phase
-  /// live searches never consume it, and the full-mode capture is an
-  /// O(visit set) copy per search). The System enables it on worker
-  /// finders only.
-  void set_record_read_sets(bool on) { record_read_sets_ = on; }
-
-  /// Peers whose snapshot rows the last find() call read — the root
-  /// plus every node whose requester row was expanded (full mode: the
-  /// BFS visit set; Bloom mode: every node a reconstruction walk
-  /// entered). A search's result is a pure function of these rows (and,
-  /// in Bloom mode, the summaries, which are fixed between refreshes) —
-  /// the speculation-validity contract the parallel engine checks
-  /// against merge-time row touches. Only populated while
-  /// set_record_read_sets(true) is in effect.
-  [[nodiscard]] std::span<const PeerId> last_read_set() const {
-    return read_set_;
-  }
-
-  /// Folds a speculated search's stat delta into this finder (merge
-  /// phase, coordinator only).
-  void add_stats(const FinderStats& delta) { stats_ += delta; }
 
   [[nodiscard]] const FinderStats& stats() const { return stats_; }
   [[nodiscard]] ExchangePolicy policy() const { return policy_; }
@@ -234,24 +166,12 @@ class ExchangeFinder {
   /// Grows the BFS scratch to cover `n` peers.
   void ensure_scratch(std::size_t n);
 
-  /// The summaries searches consult: borrowed (worker finders) or own.
-  [[nodiscard]] const std::vector<BloomTreeSummary>& active_summaries() const {
-    return borrowed_summaries_ != nullptr ? *borrowed_summaries_ : summaries_;
-  }
-
   ExchangePolicy policy_;
   std::size_t max_ring_;
   TreeMode mode_;
   std::size_t hop_budget_;
   FinderStats stats_;
   std::vector<BloomTreeSummary> summaries_;  ///< per peer, kBloom mode
-  /// Master summaries a worker finder searches against (see
-  /// borrow_summaries); null on the master itself.
-  const std::vector<BloomTreeSummary>* borrowed_summaries_ = nullptr;
-  /// Rows the last search read (see last_read_set()); captured only
-  /// when record_read_sets_ is on (worker finders).
-  bool record_read_sets_ = false;
-  std::vector<PeerId> read_set_;
 
   // --- incremental summary maintenance state (kBloom mode) ---
   // Geometry of the last build; a mismatch forces a full rebuild.

@@ -21,8 +21,7 @@ System::System(const SimConfig& config, const PopulationPlan& plan)
       finder_(cfg_.policy, cfg_.max_ring_size, cfg_.tree_mode,
               cfg_.bloom_hop_budget),
       metrics_(cfg_.warmup()),
-      faults_(cfg_.faults, cfg_.seed),
-      threads_(cfg_.effective_threads()) {
+      faults_(cfg_.faults, cfg_.seed) {
   init_observability();
   build_peers(plan);
   init_discovery();
@@ -146,8 +145,6 @@ void System::build_peers(const PopulationPlan& plan) {
   bloom_dirty_stamp_.assign(n, 0);
   watchers_.assign(n, {});
   snap_seen_.assign(n, 0);
-  last_touch_seq_.assign(n, 0);
-  spec_slot_.assign(n, 0);
 
   if (plan.empty()) {
     // Homogeneous Table II population: exactly round(n * fraction)
@@ -467,12 +464,10 @@ void System::cancel_download(DownloadId did, bool starved, SessionEnd reason,
 
 void System::eviction_sweep() {
   P2PEX_TRACE_SPAN("sweep.eviction", "sweep");
-  // The over-capacity test is a pure read, so it shards across the worker
-  // pool; the evictions themselves (RNG draws, lookup updates, request
-  // cancellations) stay serial on the coordinator in ascending peer order
-  // — the order the old full loop visited. Peers at or under capacity
-  // consume no RNG in evict_over_capacity, so skipping them here leaves
-  // the random stream bit-identical.
+  // Evictions (RNG draws, lookup updates, request cancellations) run in
+  // ascending peer order. Peers at or under capacity consume no RNG in
+  // evict_over_capacity, so skipping them leaves the random stream
+  // bit-identical.
   for (const PeerId pid : scan_peers(+[](const Peer& p) {
          return p.online && p.storage.over_capacity();
        })) {
@@ -519,6 +514,13 @@ void System::search_sweep() {
        }))
     mark_dirty(p);
   drain_dirty();
+}
+
+const std::vector<PeerId>& System::scan_peers(PeerPred pred) {
+  scan_out_.clear();
+  for (const Peer& p : peers_)
+    if (pred(p)) scan_out_.push_back(p.id);
+  return scan_out_;
 }
 
 void System::finalize() {

@@ -22,8 +22,6 @@
 #include "core/entities.h"
 #include "core/exchange_finder.h"
 #include "core/lookup.h"
-#include "core/parallel/effect_queue.h"
-#include "core/parallel/worker_pool.h"
 #include "core/population.h"
 #include "core/provider_arena.h"
 #include "discovery/lookup_backend.h"
@@ -58,7 +56,7 @@ struct SystemCounters {
   std::uint64_t dirty_rows_patched = 0;  ///< rows rewritten across patches
   std::uint64_t snapshot_build_ns = 0;   ///< cumulative build+patch wall time
   // --- entity-table row recycling (capacity accounting; deterministic
-  // and thread-invariant like every other counter here) ---
+  // like every other counter here) ---
   std::uint64_t download_rows_reused = 0;
   std::uint64_t session_rows_reused = 0;
   std::uint64_t ring_rows_reused = 0;
@@ -96,17 +94,15 @@ struct MemoryFootprint {
   }
 };
 
-/// Parallel-engine telemetry. Deliberately *not* part of SystemCounters:
-/// these figures describe how a run was executed (they vary with the
-/// thread count and the speculation batching), while SystemCounters
-/// describes what the run computed — which the determinism contract
-/// pins bit-identical across thread counts.
+/// Search-speculation telemetry. Every field is always zero because runs
+/// are serial; the struct stays because the end-to-end benchmark
+/// harness (bench/e2e) reports it.
 struct SpeculationStats {
-  std::uint64_t passes = 0;     ///< parallel speculation phases run
-  std::uint64_t speculated = 0; ///< searches executed on workers
-  std::uint64_t consumed = 0;   ///< speculations the merge used as-is
-  std::uint64_t stale = 0;      ///< invalidated by merge-time row touches
-  std::uint64_t unused = 0;     ///< never requested before the drain ended
+  std::uint64_t passes = 0;
+  std::uint64_t speculated = 0;
+  std::uint64_t consumed = 0;
+  std::uint64_t stale = 0;
+  std::uint64_t unused = 0;
 };
 
 /// One complete simulation instance.
@@ -139,19 +135,16 @@ class System final : private discovery::WorldView {
   [[nodiscard]] const FinderStats& finder_stats() const {
     return finder_.stats();
   }
-  /// Worker threads the engine runs with (config/P2PEX_THREADS; 1 =
-  /// serial). Execution strategy only — results are identical at any
-  /// value.
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] const SpeculationStats& speculation_stats() const {
-    return spec_stats_;
-  }
+  /// Threads the engine runs on: always 1. SimConfig::threads is
+  /// accepted and validated but has no effect.
+  [[nodiscard]] std::size_t threads() const { return 1; }
+  /// Always zero (see SpeculationStats).
+  [[nodiscard]] SpeculationStats speculation_stats() const { return {}; }
   /// The observability registry, with every scalar (SystemCounters,
-  /// FinderStats, SpeculationStats, run-level collector gauges)
-  /// re-published from its source-of-truth struct on each call.
-  /// Histograms are registry-owned and always current. Deterministic-
-  /// domain contents are bit-identical across thread counts; the
-  /// timing domain is not (see obs::Domain). Implemented in
+  /// FinderStats, run-level collector gauges) re-published from its
+  /// source-of-truth struct on each call. Histograms are registry-owned
+  /// and always current. Deterministic-domain contents replay bit for
+  /// bit; the timing domain does not (see obs::Domain). Implemented in
   /// system_obs.cpp.
   [[nodiscard]] const obs::MetricsRegistry& metrics_registry() const;
   [[nodiscard]] SimTime now() const { return sim_.now(); }
@@ -430,75 +423,21 @@ class System final : private discovery::WorldView {
   void fill_free_slots(PeerId provider);
   IrqEntry* pick_non_exchange(Peer& provider);
   /// Whether `p` could start one more upload right now: a free slot, or
-  /// (with preemption on) a reclaimable non-exchange upload. The serial
-  /// search guard and the speculation-phase trigger share this — patch
-  /// counter parity across thread counts depends on them agreeing.
+  /// (with preemption on) a reclaimable non-exchange upload.
   [[nodiscard]] bool upload_capacity_available(const Peer& p) const;
-
-  // --- parallel engine (system_parallel.cpp) ---
-  //
-  // With threads > 1, drain_dirty() front-loads a read-only *speculation
-  // phase*: the dirty peers that could search this drain are sharded
-  // across the worker pool, each worker runs the ring searches against
-  // the immutable GraphSnapshot with its own finder (scratch + stats),
-  // and the results land in per-shard effect queues merged in shard-
-  // then-sequence order. The serial merge (the unchanged drain loop)
-  // then consumes a speculation in place of a live search *only if its
-  // recorded read set is untouched since the speculation snapshot* —
-  // in which case a live search would have returned bit-identical
-  // proposals and stats — and falls back to a live search otherwise.
-  // Every mutation (ring formation, counters, RNG — drains draw none)
-  // stays on the coordinator, so results are bit-identical for every
-  // thread count, including 1.
-
-  /// One speculated ring search (the effect-queue payload).
-  struct SearchSpeculation {
-    PeerId root;
-    std::vector<RingProposal> proposals;
-    FinderStats delta;              ///< finder-stat increments of the search
-    std::vector<PeerId> read_set;   ///< rows the search depended on
-    bool consumed = false;
-  };
-
-  /// Runs the speculation phase for the current dirty set (no-op when
-  /// it cannot pay off: serial mode, no searchable candidate, or a
-  /// batch too small to amortize the phase).
-  void speculate_searches();
-  /// The merge-phase search: returns the valid unconsumed speculation
-  /// for `root` if one exists, else runs a live search. Reads
-  /// graph_snapshot() either way so patch accounting matches serial
-  /// execution exactly.
+  /// Ring search rooted at `root` over the current snapshot, recording
+  /// its nodes visited in the search-hops histogram.
   std::vector<RingProposal> ring_candidates(PeerId root);
-  [[nodiscard]] bool speculation_valid(const SearchSpeculation& s) const;
-  void clear_speculations();
-  void sync_worker_finders();
 
   // --- maintenance ---
   void eviction_sweep();
   void search_sweep();
   void finalize();
 
-  // --- parallel sweeps (system_parallel.cpp) ---
-  //
-  // The periodic sweeps are O(population) scans whose *predicates* are
-  // pure reads; only the handful of matching peers have side effects.
-  // scan_peers shards the read-only scan over the worker pool and
-  // concatenates per-shard matches in shard order — shards are
-  // contiguous id ranges, so the result is the ascending-id list a
-  // serial scan produces, and the caller applies effects (including
-  // every RNG draw) serially in that order: bit-identical at any
-  // thread count.
+  /// Ids of the peers matching `pred`, ascending; the returned
+  /// reference is scratch, valid until the next scan.
   using PeerPred = bool (*)(const Peer&);
-  /// Ids of online peers matching `pred`, ascending. Runs on the pool
-  /// when the population is large enough to amortize a wake; the
-  /// returned reference is scratch, valid until the next scan.
   const std::vector<PeerId>& scan_peers(PeerPred pred);
-  /// The worker pool when parallel sweeps should run (threads > 1 and
-  /// population >= kParallelSweepMinPeers); nullptr means stay serial.
-  [[nodiscard]] parallel::WorkerPool* sweep_pool();
-  /// Population floor below which sweep parallelism cannot pay for the
-  /// pool wake.
-  static constexpr std::size_t kParallelSweepMinPeers = 1024;
 
   // --- graph-snapshot cache ---
   /// Records that `p`'s snapshot rows (its request edges as provider,
@@ -512,7 +451,6 @@ class System final : private discovery::WorldView {
   void touch_graph() {
     graph_all_dirty_ = true;
     bloom_all_dirty_ = true;
-    all_touch_seq_ = ++touch_seq_;  // invalidates every live speculation
   }
   /// Marks every root whose closure/want rows depend on `provider`
   /// (roots with a pending download that discovered it) dirty. Call
@@ -625,32 +563,7 @@ class System final : private discovery::WorldView {
   bool finished_ = false;
   std::size_t num_sharing_ = 0;
 
-  // --- parallel engine state ---
-  std::size_t threads_ = 1;  ///< cfg_.effective_threads(), fixed at build
-  /// Pool + per-worker finders, created on the first speculation pass
-  /// (serial runs and runs that never speculate pay nothing).
-  std::unique_ptr<parallel::WorkerPool> pool_;
-  std::vector<std::unique_ptr<ExchangeFinder>> worker_finders_;
-  parallel::EffectQueues<SearchSpeculation> shard_effects_;
-  /// Ascending searchable-candidate worklist of the current drain.
-  std::vector<PeerId> spec_worklist_;
-  /// peer -> 1 + index into spec_index_ (0 = no speculation); entries
-  /// are reset by clear_speculations() at drain end.
-  std::vector<std::uint32_t> spec_slot_;
-  std::vector<SearchSpeculation*> spec_index_;
-  /// Monotonic row-touch recency: every touch_graph bumps touch_seq_
-  /// and records it per peer (or in all_touch_seq_ for argless
-  /// invalidations). A speculation taken at sequence S is valid while
-  /// no row in its read set — and no whole-population touch — is newer
-  /// than S.
-  std::uint64_t touch_seq_ = 0;
-  std::uint64_t all_touch_seq_ = 0;
-  std::uint64_t spec_seq_ = 0;  ///< touch_seq_ at the speculation snapshot
-  std::vector<std::uint64_t> last_touch_seq_;
-  SpeculationStats spec_stats_;
-  /// scan_peers scratch: per-shard match lists + the concatenated result.
-  std::vector<std::vector<PeerId>> scan_shards_;
-  std::vector<PeerId> scan_out_;
+  std::vector<PeerId> scan_out_;  ///< scan_peers scratch
   // Flash-crowd demand override (set_demand_spike); weight 0 = inactive.
   CategoryId spike_category_;
   double spike_weight_ = 0.0;

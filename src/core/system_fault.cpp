@@ -19,8 +19,8 @@ namespace p2pex {
 
 void System::arm_session_fault(SessionId sid) {
   if (faults_.session_fault_rate() <= 0.0 || finished_) return;
-  // The draw happens now (coordinator, creation order) so the fault
-  // schedule is bit-identical at every thread count.
+  // The draw happens now, in session creation order, so the fault
+  // schedule replays bit for bit.
   const std::uint64_t seq = sessions_[sid.value].seq;
   sim_.schedule_in(faults_.draw_session_lifetime(),
                    [this, sid, seq] { on_session_fault(sid, seq); });

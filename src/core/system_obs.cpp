@@ -10,9 +10,8 @@
 //
 // Domain placement is the contract (see obs/metrics_registry.h):
 // everything under "core.", "finder." and "run." is replay-invariant
-// and lands in the deterministic domain the replay CI byte-compares;
-// "exec." and "time." describe *how* the run executed (thread counts,
-// speculation traffic, wall clock) and land in the timing domain.
+// and lands in the deterministic domain the pinned digests hash;
+// "time." is wall clock and lands in the timing domain.
 #include "core/system.h"
 
 #include "obs/metrics_registry.h"
@@ -97,14 +96,8 @@ const obs::MetricsRegistry& System::metrics_registry() const {
         metrics_.mean_download_time_nonsharing());
   gauge("run.download_time_ratio", metrics_.download_time_ratio());
 
-  // Execution-strategy + wall-clock telemetry: varies with the thread
-  // count and machine, never part of the replay contract.
-  tim("exec.threads", threads_);
-  tim("exec.speculation_passes", spec_stats_.passes);
-  tim("exec.speculation_speculated", spec_stats_.speculated);
-  tim("exec.speculation_consumed", spec_stats_.consumed);
-  tim("exec.speculation_stale", spec_stats_.stale);
-  tim("exec.speculation_unused", spec_stats_.unused);
+  // Wall-clock telemetry: varies with the machine, never part of the
+  // replay contract.
   tim("time.snapshot_build_ns", c.snapshot_build_ns);
 
   return registry_;

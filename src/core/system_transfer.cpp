@@ -307,11 +307,6 @@ void System::mark_dirty(PeerId p) { dirty_.insert(p); }
 void System::drain_dirty() {
   if (draining_) return;
   draining_ = true;
-  // Parallel phase first (threads > 1): speculate the drain's ring
-  // searches against the immutable snapshot on the worker pool. The
-  // serial loop below is the merge phase — it consumes still-valid
-  // speculations in place of live searches (see ring_candidates).
-  if (threads_ > 1 && !dirty_.empty()) speculate_searches();
   if (!dirty_.empty()) {
     P2PEX_TRACE_SPAN("drain.merge", "engine");
     std::uint64_t guard = 0;
@@ -322,9 +317,6 @@ void System::drain_dirty() {
       process_peer(p);
     }
   }
-  // Speculations are drain-local: Bloom summaries may refresh between
-  // drains, which a read-set check cannot see.
-  clear_speculations();
   draining_ = false;
 }
 
@@ -356,6 +348,15 @@ void System::process_peer(PeerId pid) {
   }
 
   fill_free_slots(pid);
+}
+
+std::vector<RingProposal> System::ring_candidates(PeerId root) {
+  const GraphSnapshot& view = graph_snapshot();
+  const std::uint64_t visited = finder_.stats().nodes_visited;
+  std::vector<RingProposal> out =
+      finder_.find(view, root, cfg_.max_ring_attempts_per_search);
+  hist_search_hops_->record(finder_.stats().nodes_visited - visited);
+  return out;
 }
 
 namespace {

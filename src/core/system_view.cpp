@@ -15,10 +15,6 @@
 namespace p2pex {
 
 void System::touch_graph(PeerId p) {
-  // Row-touch recency for speculation validity: unconditional (the
-  // dirty-list stamps below reset on every snapshot read; recency must
-  // survive them).
-  last_touch_seq_[p.value] = ++touch_seq_;
   if (!graph_all_dirty_ &&
       graph_dirty_stamp_[p.value] != graph_dirty_epoch_) {
     graph_dirty_stamp_[p.value] = graph_dirty_epoch_;
@@ -182,19 +178,14 @@ void System::build_peer_rows(const Peer& p, GraphSnapshot& snap) const {
 
 void System::refresh_bloom_summaries() {
   const GraphSnapshot& snap = graph_snapshot();
-  // Filter maintenance shards over the pool (nullptr = serial) — the
-  // summaries come out bit-identical either way, so thread count stays
-  // invisible to replays.
-  parallel::WorkerPool* pool = sweep_pool();
   if (bloom_all_dirty_) {
     P2PEX_TRACE_SPAN("bloom.rebuild", "snapshot");
     finder_.rebuild_summaries(snap, cfg_.bloom_expected_per_level,
-                              cfg_.bloom_fpp, pool);
+                              cfg_.bloom_fpp);
   } else if (!bloom_dirty_.empty()) {
     P2PEX_TRACE_SPAN("bloom.refresh", "snapshot");
     finder_.refresh_summaries(snap, bloom_dirty_,
-                              cfg_.bloom_expected_per_level, cfg_.bloom_fpp,
-                              pool);
+                              cfg_.bloom_expected_per_level, cfg_.bloom_fpp);
   } else {
     // Nothing moved since the last refresh: the summaries are already
     // exactly what a rebuild would produce.
@@ -343,12 +334,11 @@ MemoryFootprint System::memory_footprint() const {
     f.graph_bytes += w.capacity() * sizeof(WatchEntry);
   f.graph_bytes +=
       (graph_dirty_stamp_.capacity() + bloom_dirty_stamp_.capacity() +
-       snap_seen_.capacity() + last_touch_seq_.capacity()) *
+       snap_seen_.capacity()) *
       sizeof(std::uint64_t);
   f.graph_bytes += (graph_dirty_.capacity() + bloom_dirty_.capacity() +
                     snap_providers_.capacity()) *
                    sizeof(PeerId);
-  f.graph_bytes += spec_slot_.capacity() * sizeof(std::uint32_t);
   return f;
 }
 

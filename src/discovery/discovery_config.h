@@ -29,7 +29,7 @@ struct DiscoveryConfig {
   BackendKind backend = BackendKind::kOracle;
 
   // --- PEX gossip (backend == kPex) ---
-  /// Seconds between gossip rounds (one deterministic coordinator tick
+  /// Seconds between gossip rounds (one deterministic tick
   /// exchanges digests between every online peer and its ring partner).
   double gossip_interval = 30.0;
   /// Max provider entries per digest message (bounds per-round wire

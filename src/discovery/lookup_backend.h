@@ -22,10 +22,9 @@
 //
 // Determinism contract: backends draw randomness only from their own
 // salted forked streams (seed ^ backend salt) or from deterministic key
-// hashes, every mutation happens on the coordinator (upkeep calls and
-// scheduled ticks), and every result is sorted ascending — so runs are
-// bit-identical across thread counts 1/2/8 for every backend, which the
-// replay CI matrix enforces.
+// hashes, every mutation happens in upkeep calls and scheduled ticks,
+// and every result is sorted ascending — so runs replay bit for bit for
+// every backend, which the pinned output digests enforce.
 #pragma once
 
 #include <cstdint>
@@ -143,7 +142,7 @@ class LookupBackend {
   /// (System schedules a periodic only for a positive interval, so the
   /// oracle adds no events and stays bit-exact with the old path).
   [[nodiscard]] virtual SimTime tick_interval() const { return 0.0; }
-  /// One maintenance round (PEX gossip). Runs on the coordinator.
+  /// One maintenance round (PEX gossip).
   virtual void tick(SimTime now) { static_cast<void>(now); }
 
   /// Costs accrued since the last drain (see DiscoveryCosts). Virtual so

@@ -92,7 +92,7 @@ void PexBackend::tick(SimTime now) {
   if (n < 2) return;
   ++costs_.gossip_rounds;
   // One ring-partner offset per round, drawn from the salted gossip
-  // stream (coordinator-only: bit-identical at every thread count).
+  // stream.
   const std::size_t offset = 1 + rng_.index(n - 1);
   ++round_;
   for (std::size_t i = 0; i < n; ++i) {

@@ -4,13 +4,13 @@
 // Every peer keeps (a) the set of objects it currently serves (its own
 // adverts, maintained by the upkeep calls) and (b) a bounded FIFO cache
 // of provider entries it has *heard about*. On a deterministic schedule
-// (SimConfig::discovery.gossip_interval, one coordinator tick per
-// round), each online peer exchanges a bounded digest with one ring
-// partner: own-object adverts first (rotating through the storage so a
+// (SimConfig::discovery.gossip_interval, one tick per round), each
+// online peer exchanges a bounded digest with one ring partner:
+// own-object adverts first (rotating through the storage so a
 // small digest still cycles full coverage), then its freshest relayed
 // entries. The partner offset is drawn per round from the backend's own
 // salted stream, so gossip never perturbs the main stream and replays
-// bit-exact at every thread count.
+// bit-exact.
 //
 // Knowledge is therefore partial (nothing is known until gossip has
 // carried it over), second-hand (entries relay with their original

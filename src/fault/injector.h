@@ -5,7 +5,7 @@
 // on a stream forked off the run seed with its own salt, so enabling or
 // disabling faults never perturbs the System's main stream (a run with
 // faults off is bit-identical to one built before the fault model
-// existed), and fault schedules replay bit-exact at every thread count.
+// existed), and fault schedules replay bit-exact.
 //
 // It also carries the runtime-overridable fault state: scenario `faults`
 // windows raise the session-fault and lookup-loss rates for their

@@ -4,20 +4,17 @@
 // Every metric is registered in exactly one of two domains:
 //
 //  * kDeterministic — replay-invariant values: bit-identical for the
-//    same seed at every thread count, on every machine. The replay CI
-//    jobs byte-compare the deterministic JSON across threads 1/2/8, so
-//    nothing wall-clock-derived or execution-strategy-dependent may
-//    ever land here.
-//  * kTiming — wall-clock figures and execution-strategy telemetry
-//    (speculation pass counts, thread counts, build nanoseconds).
-//    Excluded from `--stable` exports; covered by the repo's existing
-//    `wall-clock-ok` lint convention.
+//    same seed on every machine and build type. The pinned output
+//    digests of the test suite hash the deterministic JSON, so nothing
+//    wall-clock-derived may ever land here.
+//  * kTiming — wall-clock figures (build nanoseconds). Excluded from
+//    `--stable` exports; covered by the repo's existing `wall-clock-ok`
+//    lint convention.
 //
 // References returned by counter()/gauge()/histogram() are stable for
 // the registry's lifetime (std::map nodes never move), so hot paths
 // register once and bump through a plain pointer. The registry itself
-// is not thread-safe: the engine records on the coordinator thread
-// only (worker-side facts arrive through the deterministic merge).
+// is not thread-safe: the engine records on the simulation thread only.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +25,8 @@
 namespace p2pex::obs {
 
 enum class Domain : std::uint8_t {
-  kDeterministic,  ///< replay-invariant; byte-compared across threads
-  kTiming,         ///< wall clock / execution strategy; waived
+  kDeterministic,  ///< replay-invariant; hashed by the pinned digests
+  kTiming,         ///< wall clock; waived
 };
 
 /// Monotonic event count.

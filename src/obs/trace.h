@@ -3,10 +3,10 @@
 // A TraceRecorder collects closed spans (name, category, start, dur,
 // thread) into per-thread ring buffers. Recording is lock-free after a
 // thread's first span (one mutex acquisition to register the buffer),
-// so per-shard spans on WorkerPool helper threads cost two clock reads
-// and a ring store. Exports happen strictly after the traced phases
-// complete: WorkerPool::run() returning establishes the happens-before
-// edge that makes helper-thread buffers safe to read.
+// so a span costs two clock reads and a ring store on any thread.
+// Exports must happen strictly after the traced threads finish (joining
+// them establishes the happens-before edge that makes their buffers
+// safe to read).
 //
 // Spans are emitted through the P2PEX_TRACE_SPAN(name, cat) macro,
 // which compiles to `static_cast<void>(0)` unless the build defines

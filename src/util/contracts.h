@@ -17,8 +17,8 @@
 //   P2PEX_EXPENSIVE_INVARIANT / P2PEX_EXPENSIVE_INVARIANT_MSG
 //     O(n)-or-worse cross-checks (rescans, shadow recomputation). Only
 //     enabled under the audit options that already gate the runtime
-//     cross-check machinery (P2PEX_SNAPSHOT_AUDIT / P2PEX_PARALLEL_AUDIT /
-//     P2PEX_LOOKUP_AUDIT, or P2PEX_EXPENSIVE_CHECKS explicitly).
+//     cross-check machinery (P2PEX_SNAPSHOT_AUDIT / P2PEX_LOOKUP_AUDIT,
+//     or P2PEX_EXPENSIVE_CHECKS explicitly).
 //
 // All tiers throw AssertionError rather than abort() for the same reason
 // util/assert.h does: property tests assert *on* the assertions, and an
@@ -31,14 +31,13 @@
 
 #include "util/assert.h"
 
-#if !defined(NDEBUG) || defined(P2PEX_SNAPSHOT_AUDIT) ||        \
-    defined(P2PEX_PARALLEL_AUDIT) || defined(P2PEX_LOOKUP_AUDIT) || \
-    defined(P2PEX_EXPENSIVE_CHECKS)
+#if !defined(NDEBUG) || defined(P2PEX_SNAPSHOT_AUDIT) || \
+    defined(P2PEX_LOOKUP_AUDIT) || defined(P2PEX_EXPENSIVE_CHECKS)
 #define P2PEX_INVARIANTS_ENABLED 1
 #endif
 
-#if defined(P2PEX_SNAPSHOT_AUDIT) || defined(P2PEX_PARALLEL_AUDIT) || \
-    defined(P2PEX_LOOKUP_AUDIT) || defined(P2PEX_EXPENSIVE_CHECKS)
+#if defined(P2PEX_SNAPSHOT_AUDIT) || defined(P2PEX_LOOKUP_AUDIT) || \
+    defined(P2PEX_EXPENSIVE_CHECKS)
 #define P2PEX_EXPENSIVE_INVARIANTS_ENABLED 1
 #endif
 

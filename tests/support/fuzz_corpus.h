@@ -38,17 +38,16 @@ inline constexpr std::uint64_t kPatchFuzzSeeds[] = {51, 52, 53, 55, 58,
 inline constexpr std::uint64_t kScenarioFuzzSeeds[] = {41, 42, 43, 45, 48,
                                                        61, 83};
 
-/// Seeds for the shard-count invariance fuzzer (test_parallel_fuzz.cpp):
-/// the same (seed, config) run at K ∈ {1, 2, 3, 8} worker threads must
-/// produce identical snapshots, proposals, counters, finder stats and
-/// metrics — the parallel engine's effect-queue merge contract.
+/// Seeds for the thread-count invariance fuzzer (test_parallel_fuzz.cpp):
+/// a varied (seed, config) run with 8 worker threads configured must
+/// reproduce the output digest pinned for its serial run.
 inline constexpr std::uint64_t kParallelFuzzSeeds[] = {71, 72, 73, 75, 78,
                                                        91, 107};
 
 /// Seeds for the fault-storm fuzzer (test_scenario_fuzz.cpp): a random
 /// fault schedule (crash storms, fault/kill windows, partitions) derived
-/// from each seed must produce bit-identical counters and reports at
-/// every worker-thread count — faults join the replay contract.
+/// from each seed must reproduce the output digest pinned for it —
+/// faults join the replay contract.
 inline constexpr std::uint64_t kFaultStormSeeds[] = {81, 82, 83, 85, 88,
                                                      101, 113};
 

@@ -2,25 +2,17 @@
 // provider arena (span storage, exact-length reuse, rollback), entity
 // tables that recycle rows so physical size tracks the live high-water
 // mark instead of cumulative churn, the 32-bit id overflow guard, the
-// deterministic memory accounting budgets are pinned on, and the
-// parallel sweep paths that only activate above the sharding threshold.
+// deterministic memory accounting budgets are pinned on, and a pinned
+// run above the population where sweeps once sharded.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "core/exchange_finder.h"
-#include "core/graph_snapshot.h"
-#include "core/parallel/worker_pool.h"
 #include "core/provider_arena.h"
 #include "core/system.h"
-#include "metrics/report.h"
+#include "support/run_digest.h"
 #include "support/scenario.h"
 #include "util/assert.h"
-#include "util/rng.h"
 #include "util/types.h"
 
 namespace p2pex {
@@ -213,89 +205,25 @@ TEST(MemoryAccounting, HundredThousandPeersUnderBytesPerPeerBudget) {
   EXPECT_GT(f.graph_bytes, 0u);
 }
 
-// --- parallel sweeps above the sharding threshold -------------------------
+// --- a pinned run above the old sweep-sharding threshold -----------------
 
-// System-scale determinism: the sharded peer scans (search sweeps,
-// eviction, policy flips) only engage at >= 1024 peers, below the
-// populations the rest of the suite runs — so this is the test that
-// actually executes them. The run must be bit-identical at every thread
-// count (threads is an execution knob, never an experiment parameter).
+/// Pinned test::run_digest of the 1536-peer run below.
+constexpr const char* kSweepRunDigest = "6241998e8f5bd10b";
+
 TEST(ParallelSweeps, RunIsIdenticalAcrossThreadCountsAboveShardingThreshold) {
-  ASSERT_EQ(unsetenv("P2PEX_THREADS"), 0);
-  SimConfig base = test::Scenario::small()
-                       .peers(1536)
-                       .duration(400.0)
-                       .build();
-  SystemCounters baseline;
-  std::string baseline_report;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    SimConfig cfg = base;
-    cfg.threads = threads;
-    System system(cfg);
-    system.run();
-    system.check_invariants();
-    const std::string report = format_report(system.metrics());
-    if (threads == 1) {
-      baseline = system.counters();
-      baseline_report = report;
-      // The workload actually exercised the sweeps and the recycler.
-      EXPECT_GT(baseline.requests_issued, 0u);
-      continue;
-    }
-    const SystemCounters& c = system.counters();
-    const std::string what = "threads " + std::to_string(threads);
-    EXPECT_EQ(baseline.requests_issued, c.requests_issued) << what;
-    EXPECT_EQ(baseline.downloads_completed, c.downloads_completed) << what;
-    EXPECT_EQ(baseline.rings_formed, c.rings_formed) << what;
-    EXPECT_EQ(baseline.sessions_started, c.sessions_started) << what;
-    EXPECT_EQ(baseline.preemptions, c.preemptions) << what;
-    EXPECT_EQ(baseline.download_rows_reused, c.download_rows_reused) << what;
-    EXPECT_EQ(baseline.session_rows_reused, c.session_rows_reused) << what;
-    EXPECT_EQ(baseline_report, report) << what;
-  }
-}
-
-/// Synthetic request graph big enough that the pooled summary build
-/// actually shards (shape borrowed from the micro benches).
-GraphSnapshot bloom_fixture(std::size_t n) {
-  Rng rng(7);
-  GraphSnapshot g;
-  g.begin(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t d = 0; d < 6; ++d)
-      g.add_edge(PeerId{static_cast<std::uint32_t>(rng.index(n))},
-                 ObjectId{static_cast<std::uint32_t>(rng.index(400))});
-    const auto q = static_cast<std::uint32_t>(
-        (p * 2654435761ULL + 3ULL) % n);
-    g.add_want(ObjectId{q}, PeerId{q});
-    g.add_closure(PeerId{q}, ObjectId{q});
-    g.next_peer();
-  }
-  g.finish();
-  return g;
-}
-
-TEST(ParallelSweeps, PooledBloomSummariesMatchSerialBitForBit) {
-  const std::size_t n = 600;
-  const GraphSnapshot g = bloom_fixture(n);
-  ExchangeFinder serial(ExchangePolicy::kShortestFirst, 5, TreeMode::kBloom);
-  ExchangeFinder pooled(ExchangePolicy::kShortestFirst, 5, TreeMode::kBloom);
-  parallel::WorkerPool pool(4);
-  serial.rebuild_summaries(g, 32, 0.05);
-  pooled.rebuild_summaries(g, 32, 0.05, &pool);
-  ASSERT_EQ(serial.summaries(), pooled.summaries());
-
-  // Incremental refresh through the pool stays bit-identical too, and
-  // proposals over the refreshed summaries match.
-  std::vector<PeerId> dirty;
-  for (std::uint32_t p = 0; p < 40; ++p) dirty.push_back(PeerId{p * 7});
-  serial.refresh_summaries(g, dirty, 32, 0.05);
-  pooled.refresh_summaries(g, dirty, 32, 0.05, &pool);
-  ASSERT_EQ(serial.summaries(), pooled.summaries());
-  for (std::uint32_t root = 0; root < n; root += 23)
-    EXPECT_EQ(serial.find(g, PeerId{root}, 8), pooled.find(g, PeerId{root}, 8))
-        << "root " << root;
+  // Above 1024 peers the periodic sweeps (search, eviction, policy
+  // flips) once sharded their peer scans over a worker pool. The pin was
+  // recorded when 1, 2 and 8 threads still did and agreed bit for bit;
+  // the engine is serial now, so a run with 8 threads configured must
+  // reproduce it.
+  SimConfig cfg = test::Scenario::small().peers(1536).duration(400.0).build();
+  cfg.threads = 8;
+  System system(cfg);
+  system.run();
+  system.check_invariants();
+  // The workload actually exercised the sweeps and the recycler.
+  EXPECT_GT(system.counters().requests_issued, 0u);
+  EXPECT_EQ(test::run_digest(system), kSweepRunDigest);
 }
 
 }  // namespace

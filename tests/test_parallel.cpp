@@ -1,153 +1,17 @@
-// Unit tests for the parallel engine building blocks (worker pool,
-// shard map, effect queues, per-shard RNG streams) and the System-level
-// speculation contract: a threaded run computes bit-identical results
-// to a serial run while actually consuming speculated searches.
+// The `threads` knob: accepted, validated and echoed, but inert. Every
+// run takes the serial engine, so a run configured with several threads
+// must reproduce the output digest its serial run was pinned at (see
+// support/run_digest.h).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <numeric>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "core/parallel/effect_queue.h"
-#include "core/parallel/shard_map.h"
-#include "core/parallel/shard_rng.h"
-#include "core/parallel/worker_pool.h"
 #include "core/system.h"
-#include "metrics/report.h"
+#include "scenario/spec.h"
+#include "support/run_digest.h"
 
 namespace p2pex {
 namespace {
-
-// --- WorkerPool ----------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryShardExactlyOnce) {
-  parallel::WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  for (const std::size_t shards : {1u, 3u, 4u, 17u}) {
-    std::vector<std::atomic<int>> hits(shards);
-    pool.run(shards, [&](std::size_t s) { hits[s].fetch_add(1); });
-    for (std::size_t s = 0; s < shards; ++s) EXPECT_EQ(hits[s].load(), 1);
-  }
-}
-
-TEST(WorkerPool, SingleThreadRunsInline) {
-  parallel::WorkerPool pool(1);
-  EXPECT_EQ(pool.threads(), 1u);
-  std::vector<int> order;
-  pool.run(5, [&](std::size_t s) {
-    order.push_back(static_cast<int>(s));  // inline: no synchronization
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(WorkerPool, PropagatesFirstException) {
-  parallel::WorkerPool pool(3);
-  EXPECT_THROW(
-      pool.run(8,
-               [](std::size_t s) {
-                 if (s % 2 == 1) throw std::runtime_error("shard failed");
-               }),
-      std::runtime_error);
-  // The pool survives a failed phase and keeps working.
-  std::atomic<int> ran{0};
-  pool.run(6, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 6);
-}
-
-TEST(WorkerPool, ReusableAcrossManyPhases) {
-  parallel::WorkerPool pool(4);
-  std::atomic<std::uint64_t> total{0};
-  for (int pass = 0; pass < 50; ++pass)
-    pool.run(7, [&](std::size_t s) { total.fetch_add(s + 1); });
-  EXPECT_EQ(total.load(), 50u * (7u * 8u / 2u));
-}
-
-// --- ShardMap ------------------------------------------------------------
-
-TEST(ShardMap, TilesContiguouslyAndBalanced) {
-  for (const std::size_t items : {0u, 1u, 5u, 16u, 17u, 100u}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
-      const parallel::ShardMap map(items, shards);
-      std::size_t cursor = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const parallel::ShardRange r = map.range(s);
-        EXPECT_EQ(r.begin, cursor);  // contiguous tiling, shard order
-        cursor = r.end;
-        EXPECT_LE(r.size(), items / shards + 1);  // balanced within one
-        EXPECT_GE(r.size(), items / shards);
-      }
-      EXPECT_EQ(cursor, items);
-      for (std::size_t i = 0; i < items; ++i) {
-        const std::size_t s = map.shard_of(i);
-        EXPECT_GE(i, map.range(s).begin);
-        EXPECT_LT(i, map.range(s).end);
-      }
-    }
-  }
-}
-
-// --- EffectQueues --------------------------------------------------------
-
-TEST(EffectQueues, MergesInShardThenSequenceOrder) {
-  parallel::EffectQueues<int> q;
-  q.reset(3);
-  q.emplace(1) = 10;
-  q.emplace(0) = 1;
-  q.emplace(2) = 20;
-  q.emplace(1) = 11;
-  q.emplace(0) = 2;
-  EXPECT_EQ(q.total(), 5u);
-  EXPECT_EQ(q.size(0), 2u);
-  std::vector<int> merged;
-  q.merge([&](int v) { merged.push_back(v); });
-  EXPECT_EQ(merged, (std::vector<int>{1, 2, 10, 11, 20}));
-  q.reset(2);
-  EXPECT_EQ(q.total(), 0u);
-}
-
-TEST(EffectQueues, RecyclesSlotBuffersAcrossPasses) {
-  parallel::EffectQueues<std::vector<int>> q;
-  q.reset(2);
-  std::vector<int>& slot = q.emplace(0);
-  slot.assign(100, 7);
-  const std::size_t cap = slot.capacity();
-  const int* data = slot.data();
-  q.reset(2);
-  EXPECT_EQ(q.total(), 0u);
-  std::vector<int>& again = q.emplace(0);
-  // Same slot, same buffer: reset rewinds watermarks without destroying
-  // payloads, so steady-state passes reuse capacity.
-  EXPECT_EQ(again.data(), data);
-  EXPECT_GE(again.capacity(), cap);
-}
-
-// --- ShardRngs -----------------------------------------------------------
-
-TEST(ShardRngs, StreamsDependOnlyOnSeedAndIndex) {
-  parallel::ShardRngs a(42, 4);
-  parallel::ShardRngs b(42, 8);  // more shards: surviving streams unchanged
-  for (std::size_t s = 0; s < 4; ++s)
-    for (int i = 0; i < 16; ++i)
-      EXPECT_EQ(a.stream(s).next_u64(), b.stream(s).next_u64());
-}
-
-TEST(ShardRngs, StreamsAreMutuallyIndependent) {
-  parallel::ShardRngs a(7, 2);
-  parallel::ShardRngs b(7, 2);
-  // Heavy draws on b's stream 0 must not perturb its stream 1.
-  for (int i = 0; i < 1000; ++i) (void)b.stream(0).next_u64();
-  for (int i = 0; i < 16; ++i)
-    EXPECT_EQ(a.stream(1).next_u64(), b.stream(1).next_u64());
-  // Different seeds give different streams.
-  parallel::ShardRngs c(8, 2);
-  EXPECT_NE(parallel::ShardRngs::stream_seed(7, 0),
-            parallel::ShardRngs::stream_seed(8, 0));
-  EXPECT_NE(parallel::ShardRngs::stream_seed(7, 0),
-            parallel::ShardRngs::stream_seed(7, 1));
-}
 
 // --- FinderStats arithmetic ---------------------------------------------
 
@@ -156,49 +20,24 @@ TEST(FinderStats, DeltaRoundTrips) {
   a.searches = 10;
   a.discovered = 4;
   a.nodes_visited = 100;
+  FinderStats delta;
+  delta.searches = 3;
+  delta.candidates = 2;
+  delta.bloom_detections = 5;
   FinderStats b = a;
-  b.searches = 13;
-  b.candidates = 2;
-  b.bloom_detections = 5;
-  FinderStats delta = b - a;
-  EXPECT_EQ(delta.searches, 3u);
-  EXPECT_EQ(delta.candidates, 2u);
-  EXPECT_EQ(delta.nodes_visited, 0u);
-  FinderStats again = a;
-  again += delta;
-  EXPECT_EQ(again, b);
+  b += delta;
+  EXPECT_EQ(b.searches, 13u);
+  EXPECT_EQ(b.discovered, 4u);
+  EXPECT_EQ(b.candidates, 2u);
+  EXPECT_EQ(b.bloom_detections, 5u);
+  EXPECT_EQ(b.nodes_visited, 100u);
+  b += FinderStats{};
+  EXPECT_NE(a, b);
+  a += delta;
+  EXPECT_EQ(a, b);
 }
 
-// --- config plumbing -----------------------------------------------------
-
-TEST(ParallelConfig, ThreadsValidation) {
-  SimConfig c;
-  c.threads = 0;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c.threads = SimConfig::kMaxThreads + 1;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c.threads = 8;
-  EXPECT_NO_THROW(c.validate());
-}
-
-TEST(ParallelConfig, EnvOverrideOnlyReplacesTheDefault) {
-  SimConfig c;
-  ASSERT_EQ(setenv("P2PEX_THREADS", "6", 1), 0);
-  EXPECT_EQ(c.effective_threads(), 6u);  // default 1 -> env applies
-  c.threads = 2;
-  EXPECT_EQ(c.effective_threads(), 2u);  // explicit value wins
-  ASSERT_EQ(setenv("P2PEX_THREADS", "bogus", 1), 0);
-  c.threads = 1;
-  EXPECT_EQ(c.effective_threads(), 1u);  // unparseable -> ignored
-  ASSERT_EQ(setenv("P2PEX_THREADS", "-1", 1), 0);
-  EXPECT_EQ(c.effective_threads(), 1u);  // negative (strtoul wraps) -> ignored
-  ASSERT_EQ(setenv("P2PEX_THREADS", "100000", 1), 0);
-  EXPECT_EQ(c.effective_threads(), SimConfig::kMaxThreads);  // clamped
-  ASSERT_EQ(unsetenv("P2PEX_THREADS"), 0);
-  EXPECT_EQ(c.effective_threads(), 1u);
-}
-
-// --- System-level speculation contract -----------------------------------
+// --- the inert threads knob ----------------------------------------------
 
 SimConfig small_busy_config(std::size_t threads) {
   SimConfig c = SimConfig::calibrated_defaults();
@@ -210,70 +49,46 @@ SimConfig small_busy_config(std::size_t threads) {
   return c;
 }
 
-/// Every deterministic SystemCounters field (snapshot_build_ns is wall
-/// time and legitimately varies).
-void expect_counters_equal(const SystemCounters& a, const SystemCounters& b) {
-  EXPECT_EQ(a.requests_issued, b.requests_issued);
-  EXPECT_EQ(a.lookup_failures, b.lookup_failures);
-  EXPECT_EQ(a.downloads_completed, b.downloads_completed);
-  EXPECT_EQ(a.downloads_starved, b.downloads_starved);
-  EXPECT_EQ(a.rings_formed, b.rings_formed);
-  EXPECT_EQ(a.ring_attempts, b.ring_attempts);
-  EXPECT_EQ(a.ring_rejects, b.ring_rejects);
-  for (std::size_t i = 0; i < 9; ++i)
-    EXPECT_EQ(a.rings_by_size[i], b.rings_by_size[i]) << "ring size " << i;
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.sessions_started, b.sessions_started);
-  EXPECT_EQ(a.peer_departures, b.peer_departures);
-  EXPECT_EQ(a.peer_arrivals, b.peer_arrivals);
-  EXPECT_EQ(a.sharing_flips, b.sharing_flips);
-  EXPECT_EQ(a.downloads_withdrawn, b.downloads_withdrawn);
-  EXPECT_EQ(a.snapshot_rebuilds, b.snapshot_rebuilds);
-  EXPECT_EQ(a.snapshot_patches, b.snapshot_patches);
-  EXPECT_EQ(a.dirty_rows_patched, b.dirty_rows_patched);
+/// run_digest of small_busy_config at threads = 1 (full-tree search).
+constexpr const char* kBusyDigest = "40fb3b71e1d8017d";
+/// The same run in Bloom search mode.
+constexpr const char* kBusyBloomDigest = "bfc37478e4908a12";
+
+TEST(ParallelConfig, ThreadsValidation) {
+  SimConfig c;
+  c.threads = 0;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c.threads = SimConfig::kMaxThreads + 1;
+  EXPECT_THROW(c.validate(), ConfigError);
+
+  // Still accepted from a scenario and echoed in the config line...
+  scenario::set_config_knob(c, "threads", "4");
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_NE(c.describe().find("threads=4"), std::string::npos);
+
+  // ...but a threads = 4 run computes the threads = 1 output.
+  System system(small_busy_config(4));
+  system.run();
+  EXPECT_EQ(system.threads(), 1u);
+  EXPECT_EQ(test::run_digest(system), kBusyDigest);
 }
 
 TEST(ParallelSystem, ThreadedRunMatchesSerialBitForBit) {
-  ASSERT_EQ(unsetenv("P2PEX_THREADS"), 0);
-  System serial(small_busy_config(1));
-  serial.run();
-  System threaded(small_busy_config(4));
+  System threaded(small_busy_config(8));
   threaded.run();
-
-  EXPECT_EQ(threaded.threads(), 4u);
-  expect_counters_equal(serial.counters(), threaded.counters());
-  EXPECT_EQ(serial.finder_stats(), threaded.finder_stats());
-  EXPECT_EQ(format_report(serial.metrics()),
-            format_report(threaded.metrics()));
-  EXPECT_TRUE(
-      serial.graph_snapshot().rows_equal(threaded.graph_snapshot()));
   threaded.check_invariants();
-
-  // The threaded run must have actually exercised the parallel path —
-  // a vacuous equality (speculation never triggered) proves nothing.
-  EXPECT_EQ(serial.speculation_stats().passes, 0u);
-  EXPECT_GT(threaded.speculation_stats().passes, 0u);
-  EXPECT_GT(threaded.speculation_stats().consumed, 0u);
-  const SpeculationStats& s = threaded.speculation_stats();
-  EXPECT_EQ(s.speculated, s.consumed + s.stale + s.unused);
+  EXPECT_EQ(test::run_digest(threaded), kBusyDigest);
+  const SpeculationStats s = threaded.speculation_stats();
+  EXPECT_EQ(s.passes + s.speculated + s.consumed + s.stale + s.unused, 0u);
 }
 
 TEST(ParallelSystem, BloomModeThreadedRunMatchesSerial) {
-  ASSERT_EQ(unsetenv("P2PEX_THREADS"), 0);
-  SimConfig base = small_busy_config(1);
-  base.tree_mode = TreeMode::kBloom;
-  System serial(base);
-  serial.run();
-  SimConfig threaded_cfg = base;
-  threaded_cfg.threads = 3;
-  System threaded(threaded_cfg);
+  SimConfig c = small_busy_config(3);
+  c.tree_mode = TreeMode::kBloom;
+  System threaded(c);
   threaded.run();
-
-  expect_counters_equal(serial.counters(), threaded.counters());
-  EXPECT_EQ(serial.finder_stats(), threaded.finder_stats());
-  EXPECT_EQ(format_report(serial.metrics()),
-            format_report(threaded.metrics()));
-  EXPECT_GT(threaded.speculation_stats().consumed, 0u);
+  threaded.check_invariants();
+  EXPECT_EQ(test::run_digest(threaded), kBusyBloomDigest);
 }
 
 }  // namespace

@@ -1,15 +1,24 @@
 // Golden regressions for the scenario engine.
 //
-// Two guarantees pin the engine's semantics:
+// Three guarantees pin the engine's semantics:
 //  * a Spec with an empty timeline is EXACTLY a plain System run — the
 //    Driver adds no randomness and perturbs no streams;
 //  * a seeded churn scenario is deterministic: replaying it is bit-exact
 //    (and a pinned replay guards against silent drift, re-record like
-//    test_golden_paper.cpp when a mechanism change moves it).
+//    test_golden_paper.cpp when a mechanism change moves it);
+//  * every examples/*.scn, under each discovery backend, reproduces one
+//    pinned output digest (support/run_digest.h).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "scenario/driver.h"
+#include "support/run_digest.h"
 #include "support/scenario.h"
 
 namespace p2pex {
@@ -211,6 +220,77 @@ TEST(ScenarioGolden, DhtGoldenReplay) {
   EXPECT_EQ(c.rings_formed, 293u);
   EXPECT_DOUBLE_EQ(summarize_run(driver.system()).exchange_fraction,
                    0.3580071174377224);
+}
+
+// --- the example corpus: one pinned digest per scenario x backend ---
+//
+// Each examples/*.scn runs to completion with its discovery backend
+// replaced, as `scenario_runner --lookup <backend>` does. The digest
+// covers the summary line, the counter report and the deterministic
+// metrics JSON, so any drift in what a shipped scenario computes fails
+// here, named by scenario and backend.
+
+struct ExampleCase {
+  const char* scn;     ///< file name under examples/
+  const char* lookup;  ///< discovery backend override
+  const char* digest;  ///< pinned test::run_digest
+};
+
+void PrintTo(const ExampleCase& c, std::ostream* os) {
+  *os << c.scn << " --lookup " << c.lookup;
+}
+
+constexpr ExampleCase kExampleCases[] = {
+    {"crash_churn.scn", "oracle", "1d984baf48ef016f"},
+    {"crash_churn.scn", "pex", "bf484975c338fc25"},
+    {"crash_churn.scn", "dht", "8a94fbc52dece4cb"},
+    {"dht_discovery.scn", "oracle", "b7da918dfe3f65bf"},
+    {"dht_discovery.scn", "pex", "a0382f7f5e448527"},
+    {"dht_discovery.scn", "dht", "2b1ac349b091a21b"},
+    {"flash_crowd.scn", "oracle", "4afb3caf3670c89f"},
+    {"flash_crowd.scn", "pex", "9b03df02e7c196ee"},
+    {"flash_crowd.scn", "dht", "ec148eb27e123902"},
+    {"freerider_wave.scn", "oracle", "d24640f3875122d7"},
+    {"freerider_wave.scn", "pex", "571f5a7dbf9e96e1"},
+    {"freerider_wave.scn", "dht", "5590073c8397e759"},
+    {"heavy_churn.scn", "oracle", "174291ad977e4646"},
+    {"heavy_churn.scn", "pex", "4057b800b6dbfb91"},
+    {"heavy_churn.scn", "dht", "a4111fd8ffa9f070"},
+    {"pex_discovery.scn", "oracle", "af9d8a33c73bac4e"},
+    {"pex_discovery.scn", "pex", "fcb1444334d8a273"},
+    {"pex_discovery.scn", "dht", "c7feb04d027314e0"},
+};
+
+class ExampleDigests : public ::testing::TestWithParam<ExampleCase> {};
+
+TEST_P(ExampleDigests, MatchPinnedDigest) {
+  const ExampleCase& c = GetParam();
+  Spec spec = Spec::parse_file(std::string(P2PEX_EXAMPLES_DIR) + "/" + c.scn);
+  spec.config.discovery.backend = scenario::parse_lookup_backend(c.lookup);
+  Driver driver(std::move(spec));
+  driver.run();
+  EXPECT_EQ(test::run_digest(driver.system()), c.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Examples, ExampleDigests, ::testing::ValuesIn(kExampleCases),
+    [](const ::testing::TestParamInfo<ExampleCase>& tpi) {
+      const std::string scn = tpi.param.scn;
+      return scn.substr(0, scn.find('.')) + "_" + tpi.param.lookup;
+    });
+
+TEST(ExampleCorpus, EveryScenarioIsPinned) {
+  std::vector<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(P2PEX_EXAMPLES_DIR))
+    if (entry.path().extension() == ".scn")
+      on_disk.push_back(entry.path().filename().string());
+  std::sort(on_disk.begin(), on_disk.end());
+  std::vector<std::string> pinned;
+  for (const ExampleCase& c : kExampleCases)
+    if (pinned.empty() || pinned.back() != c.scn) pinned.emplace_back(c.scn);
+  EXPECT_EQ(on_disk, pinned) << "add a pinned case per backend for every "
+                                "examples/*.scn";
 }
 
 }  // namespace

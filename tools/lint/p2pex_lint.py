@@ -2,9 +2,9 @@
 """p2pex-lint: determinism and capacity static analysis for the p2pex tree.
 
 Every headline number this repo reproduces is only trustworthy because runs
-replay bit-exactly across thread counts, build types and standard-library
-implementations. The runtime machinery (TSan jobs, P2PEX_PARALLEL_AUDIT,
-replay CI) catches a nondeterminism bug only after a scenario trips it;
+replay bit-exactly across machines, build types and standard-library
+implementations. The runtime machinery (audit builds, pinned output
+digests) catches a nondeterminism bug only after a scenario trips it;
 this tool enforces the rules *before* the code runs.
 
 Rules
