@@ -57,6 +57,8 @@ void ExchangeFinder::ensure_scratch(std::size_t n) {
     visit_stamp_.resize(n, 0);
     tree_.resize(n);
     closers_.resize(n);
+    // A BFS enqueues each peer at most once.
+    frontier_.resize(n);
   }
 }
 
@@ -96,17 +98,19 @@ std::vector<RingProposal> ExchangeFinder::find_full(
   }
 
   std::vector<RingProposal> out;
-  frontier_.clear();
+  // The queue is frontier_[head, tail), its slots sized once by
+  // ensure_scratch. `head` counts the peers visited so far; it is added
+  // to the stats on both exits.
   std::size_t head = 0;
+  std::size_t tail = 0;
   visit_stamp_[root.value] = stamp;
   tree_[root.value] = TreeSlot{PeerId{}, 1};
-  frontier_.push_back(root);
+  frontier_[tail++] = root;
 
   const bool shortest_first = policy_ != ExchangePolicy::kLongestFirst;
 
-  while (head < frontier_.size()) {
+  while (head < tail) {
     const PeerId x = frontier_[head++];
-    ++stats_.nodes_visited;
     const std::uint32_t d = tree_[x.value].depth;
 
     if (x != root && closers_[x.value].stamp == stamp) {
@@ -121,7 +125,10 @@ std::vector<RingProposal> ExchangeFinder::find_full(
         if (auto proposal = make_proposal(view, path_, closures[ci].object)) {
           out.push_back(std::move(*proposal));
           ++stats_.discovered;
-          if (shortest_first && out.size() >= max_candidates) return out;
+          if (shortest_first && out.size() >= max_candidates) {
+            stats_.nodes_visited += head;
+            return out;
+          }
         }
       }
     }
@@ -131,9 +138,10 @@ std::vector<RingProposal> ExchangeFinder::find_full(
       if (child.value >= n || visit_stamp_[child.value] == stamp) continue;
       visit_stamp_[child.value] = stamp;
       tree_[child.value] = TreeSlot{x, d + 1};
-      frontier_.push_back(child);
+      frontier_[tail++] = child;
     }
   }
+  stats_.nodes_visited += head;
 
   if (!shortest_first) {
     // kLongestFirst: prefer the deepest rings; stable to keep BFS order

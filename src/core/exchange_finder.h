@@ -11,8 +11,8 @@
 // The search runs over a GraphSnapshot (flat CSR arrays, see
 // graph_snapshot.h); all per-search working state (visited marks, parent
 // pointers, frontier, path) lives in reusable finder scratch buffers, so
-// a steady-state search performs no allocations beyond the returned
-// proposals.
+// a steady-state search allocates only the proposals it builds (the
+// result vector and each proposal's links).
 //
 // Two search modes:
 //  * kFullTree — exact search over the live graph (paper Section IV);
@@ -218,7 +218,7 @@ class ExchangeFinder {
   std::vector<std::uint32_t> visit_stamp_; ///< == stamp_ -> visited
   std::vector<TreeSlot> tree_;             ///< valid where visited
   std::vector<CloserSlot> closers_;        ///< valid where stamp matches
-  std::vector<PeerId> frontier_;           ///< BFS queue (head index scan)
+  std::vector<PeerId> frontier_;           ///< BFS queue, one slot per peer
   std::vector<PeerId> path_;               ///< reconstructed ring path
   std::vector<BloomHit> hits_;             ///< Bloom detections per search
 };

@@ -15,6 +15,7 @@ void GraphSnapshot::begin(std::size_t num_peers) {
   cursor_ = 0;
   patching_ = false;
   peer_open_ = false;
+  open_rows_ = RowKind::kBoth;
   edge_requesters_.clear();
   edge_objects_.clear();
   closures_.clear();
@@ -36,21 +37,27 @@ void GraphSnapshot::begin(std::size_t num_peers) {
 }
 
 void GraphSnapshot::add_edge(PeerId requester, ObjectId object) {
-  P2PEX_INVARIANT_MSG(cursor_ < num_peers_ || peer_open_,
-                   "add_edge outside an open peer");
+  P2PEX_INVARIANT_MSG(
+      (cursor_ < num_peers_ || peer_open_) &&
+          has_rows(open_rows_, RowKind::kEdges),
+      "add_edge outside an open peer's edge row");
   edge_requesters_.push_back(requester);
   edge_objects_.push_back(object);
 }
 
 void GraphSnapshot::add_closure(PeerId provider, ObjectId object) {
-  P2PEX_INVARIANT_MSG(cursor_ < num_peers_ || peer_open_,
-                   "add_closure outside an open peer");
+  P2PEX_INVARIANT_MSG(
+      (cursor_ < num_peers_ || peer_open_) &&
+          has_rows(open_rows_, RowKind::kRoot),
+      "add_closure outside an open peer's root rows");
   closures_.push_back(CloseEdge{provider, object});
 }
 
 void GraphSnapshot::add_want(ObjectId object, PeerId provider) {
-  P2PEX_INVARIANT_MSG(cursor_ < num_peers_ || peer_open_,
-                   "add_want outside an open peer");
+  P2PEX_INVARIANT_MSG(
+      (cursor_ < num_peers_ || peer_open_) &&
+          has_rows(open_rows_, RowKind::kRoot),
+      "add_want outside an open peer's root rows");
   wants_.push_back(WantEdge{object, provider});
 }
 
@@ -69,17 +76,23 @@ void GraphSnapshot::seal_rows(std::uint32_t peer) {
   const auto want_end = narrow_u32(wants_.size());
   if (patching_) {
     // Add the new length before subtracting the old so the arithmetic
-    // stays non-negative (size_t) even when a row shrinks.
-    edge_live_ = edge_live_ + (edge_end - edge_mark_) - edge_len_[peer];
-    closure_live_ =
-        closure_live_ + (closure_end - closure_mark_) - closure_len_[peer];
-    want_live_ = want_live_ + (want_end - want_mark_) - want_len_[peer];
-    edge_start_[peer] = edge_mark_;
-    edge_len_[peer] = edge_end - edge_mark_;
-    closure_start_[peer] = closure_mark_;
-    closure_len_[peer] = closure_end - closure_mark_;
-    want_start_[peer] = want_mark_;
-    want_len_[peer] = want_end - want_mark_;
+    // stays non-negative (size_t) even when a row shrinks. A kind the
+    // patch does not rewrite keeps its descriptors (and appended
+    // nothing).
+    if (has_rows(open_rows_, RowKind::kEdges)) {
+      edge_live_ = edge_live_ + (edge_end - edge_mark_) - edge_len_[peer];
+      edge_start_[peer] = edge_mark_;
+      edge_len_[peer] = edge_end - edge_mark_;
+    }
+    if (has_rows(open_rows_, RowKind::kRoot)) {
+      closure_live_ =
+          closure_live_ + (closure_end - closure_mark_) - closure_len_[peer];
+      want_live_ = want_live_ + (want_end - want_mark_) - want_len_[peer];
+      closure_start_[peer] = closure_mark_;
+      closure_len_[peer] = closure_end - closure_mark_;
+      want_start_[peer] = want_mark_;
+      want_len_[peer] = want_end - want_mark_;
+    }
   } else {
     edge_start_.push_back(edge_mark_);
     edge_len_.push_back(edge_end - edge_mark_);
@@ -115,10 +128,11 @@ void GraphSnapshot::begin_patch() {
   peer_open_ = false;
 }
 
-void GraphSnapshot::patch_peer(PeerId p) {
+void GraphSnapshot::patch_peer(PeerId p, RowKind rows) {
   P2PEX_INVARIANT_MSG(patching_ && !peer_open_, "patch_peer outside a patch");
   P2PEX_INVARIANT_MSG(p.value < num_peers_, "patch_peer beyond the population");
   patch_peer_ = p;
+  open_rows_ = rows;
   peer_open_ = true;
   edge_mark_ = narrow_u32(edge_requesters_.size());
   closure_mark_ = narrow_u32(closures_.size());

@@ -22,10 +22,12 @@
 //    contiguously;
 //  * patch — begin_patch()/patch_peer()/add_*()/seal_peer()/
 //    finish_patch() rewrites only dirty peers' rows by appending their
-//    new rows at the arena tail and repointing the descriptors. Stable
-//    rows are untouched; the replaced rows become slack, and
-//    finish_patch() compacts an arena (amortized) when its slack
-//    exceeds its live size, so reads stay branch-light spans.
+//    new rows at the arena tail and repointing the descriptors. Only
+//    the row kinds a peer was dirtied with (RowKind) are rewritten; its
+//    other rows, like every stable peer's, are untouched. The replaced
+//    rows become slack, and finish_patch() compacts an arena
+//    (amortized) when its slack exceeds its live size, so reads stay
+//    branch-light spans.
 //
 // All storage is reused across rebuilds and patches, so steady-state
 // maintenance performs no allocations once high-water capacity is
@@ -71,6 +73,28 @@ struct WantEdge {
   friend constexpr bool operator==(WantEdge, WantEdge) = default;
 };
 
+/// The rows of one peer a mutation can move, as a bit set: kEdges is
+/// its request-edge row as provider (requesters_of/edge_objects_of);
+/// kRoot is its closure and want rows as search root
+/// (closures_of/want_providers). kNone is the empty set.
+enum class RowKind : std::uint8_t {
+  kNone = 0,
+  kEdges = 1,
+  kRoot = 2,
+  kBoth = 3,
+};
+
+constexpr RowKind operator|(RowKind a, RowKind b) {
+  return static_cast<RowKind>(static_cast<std::uint8_t>(a) |
+                              static_cast<std::uint8_t>(b));
+}
+
+/// Whether the set `rows` includes `kind`.
+constexpr bool has_rows(RowKind rows, RowKind kind) {
+  return (static_cast<std::uint8_t>(rows) & static_cast<std::uint8_t>(kind)) !=
+         0;
+}
+
 class GraphSnapshot {
  public:
   // --- full build (strictly sequential: peer 0, 1, ..., n-1) ---
@@ -103,12 +127,15 @@ class GraphSnapshot {
   /// Starts a patch session on a finished snapshot (same peer count).
   void begin_patch();
 
-  /// Begins rewriting `p`'s rows; feed them with add_edge/add_closure/
-  /// add_want exactly as during a full build, then seal_peer().
-  void patch_peer(PeerId p);
+  /// Begins rewriting `p`'s `rows`; feed them with add_edge (kEdges) and
+  /// add_closure/add_want (kRoot) exactly as during a full build, then
+  /// seal_peer(). Rows of a kind not in `rows` keep their current
+  /// contents and must not be fed.
+  void patch_peer(PeerId p, RowKind rows = RowKind::kBoth);
 
-  /// Seals the peer opened by patch_peer(): repoints its descriptors at
-  /// the freshly appended rows (the old rows become arena slack).
+  /// Seals the peer opened by patch_peer(): repoints the descriptors of
+  /// the patched kinds at the freshly appended rows (the old rows become
+  /// arena slack).
   void seal_peer();
 
   /// Ends the patch session; compacts any arena whose slack exceeds its
@@ -199,7 +226,7 @@ class GraphSnapshot {
   }
 
   /// Seals the rows appended since the current peer's marks: sorts the
-  /// closure group and writes the peer's descriptors.
+  /// closure group and writes the peer's descriptors of kinds open_rows_.
   void seal_rows(std::uint32_t peer);
 
   void maybe_compact();
@@ -209,6 +236,7 @@ class GraphSnapshot {
   bool patching_ = false;    ///< inside begin_patch()..finish_patch()
   bool peer_open_ = false;   ///< inside patch_peer()..seal_peer()
   PeerId patch_peer_;        ///< peer currently being patched
+  RowKind open_rows_ = RowKind::kBoth;  ///< kinds the open peer rewrites
 
   // Arena marks where the currently open peer's rows start.
   std::uint32_t edge_mark_ = 0;

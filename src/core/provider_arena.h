@@ -8,9 +8,11 @@
 // flattened into one arena of parallel arrays addressed by a {start, len}
 // span on the Download:
 //
-//   providers_[i]   — the discovered owner (lookup-return order, which the
-//                     request-target sampling draws from — the order is
-//                     load-bearing for RNG-stream stability);
+//   providers_[i]   — the discovered owner, in lookup-return order. The
+//                     request-target sample draws from the lookup-result
+//                     vector, not from this copy, and the readers sort
+//                     the span (snapshot rows, want_providers) or test
+//                     membership, so no draw depends on the order;
 //   registered_[i]  — whether a request is actually registered at that
 //                     owner (IRQ entry exists): the old `registered` set
 //                     as a flag column, valid because registration only

@@ -138,10 +138,10 @@ void System::release_ring(RingId rid) {
 void System::build_peers(const PopulationPlan& plan) {
   const std::size_t n = cfg_.num_peers;
   peers_.reserve(n);
-  // Per-peer maintenance state: dirty-set stamps, the watcher reverse
+  // Per-peer maintenance state: dirty-set marks, the watcher reverse
   // index, and the snapshot builder's dedupe marks. The population is
   // fixed for the run, so these never resize again.
-  graph_dirty_stamp_.assign(n, 0);
+  graph_dirty_rows_.assign(n, RowKind::kNone);
   bloom_dirty_stamp_.assign(n, 0);
   watchers_.assign(n, {});
   snap_seen_.assign(n, 0);
@@ -402,7 +402,7 @@ bool System::issue_one_request(PeerId p) {
       entry.request_time = sim_.now();
       if (peers_[provider.value].irq.add(entry)) {
         set_registered(d, provider);
-        touch_graph(provider);  // provider gained a request edge
+        touch_graph(provider, RowKind::kEdges);  // gained a request edge
         mark_dirty(provider);   // "on receipt of each request ..."
       }
     }
@@ -420,7 +420,7 @@ bool System::issue_one_request(PeerId p) {
     watch_providers(d);  // closure eligibility now tracks the discovered set
     peer.pending_list.push_back(did);
     ++counters_.requests_issued;
-    touch_graph(p);  // the root gained a pending download (closures/wants)
+    touch_graph(p, RowKind::kRoot);  // the root gained a pending download
     mark_dirty(p);   // "prior to transmission of a request ..."
     return true;
   }
@@ -431,7 +431,7 @@ void System::cancel_download(DownloadId did, bool starved, SessionEnd reason,
                              bool lossy) {
   Download& d = download(did);
   if (!d.active) return;
-  touch_graph(d.peer);    // the root loses this pending download
+  touch_graph(d.peer, RowKind::kRoot);  // the root loses this download
   unwatch_providers(d);
   accrue_download(d);
   {
@@ -443,7 +443,7 @@ void System::cancel_download(DownloadId did, bool starved, SessionEnd reason,
   }
   for (PeerId provider : registered_sorted(d)) {
     peers_[provider.value].irq.remove(RequestKey{d.peer, d.object});
-    touch_graph(provider);  // its request edge from d.peer goes away
+    touch_graph(provider, RowKind::kEdges);  // its edge from d.peer goes away
   }
   sim_.cancel(d.completion);
   d.active = false;
@@ -474,7 +474,7 @@ void System::eviction_sweep() {
     Peer& p = peers_[pid.value];
     const std::vector<ObjectId> evicted = p.storage.evict_over_capacity(rng_);
     if (evicted.empty()) continue;
-    touch_graph(p.id);     // doomed IRQ entries drop from its edge row
+    touch_graph(p.id, RowKind::kEdges);  // doomed IRQ entries drop out
     touch_watchers(p.id);  // roots wanting an evicted object lose closers
     for (ObjectId o : evicted)
       if (p.shares) lookup_remove_owner(o, p.id);

@@ -260,12 +260,12 @@ class System final : private discovery::WorldView {
 
   // --- request-graph views ---
   /// CSR snapshot of the request graph the ring search walks, maintained
-  /// lazily from the dirty-peer set (see touch_graph(PeerId)): peers
-  /// whose rows mutated since the last read are re-derived in place
-  /// (GraphSnapshot patch path); everything else is reused untouched. A
-  /// whole-population invalidation (argless touch_graph(), first read,
-  /// or a dirty set covering most of the population) falls back to a
-  /// full rebuild. Single-threaded: the returned reference is
+  /// lazily from the dirty-peer set (see touch_graph(PeerId, RowKind)):
+  /// the rows that mutated since the last read are re-derived in place
+  /// (GraphSnapshot patch path), only of the kinds each peer was dirtied
+  /// with; everything else is reused untouched. A whole-population
+  /// invalidation (argless touch_graph(), first read, or a dirty set
+  /// covering most of the population) falls back to a full rebuild. Single-threaded: the returned reference is
   /// invalidated by the next state mutation.
   [[nodiscard]] const GraphSnapshot& graph_snapshot() const;
 
@@ -290,6 +290,12 @@ class System final : private discovery::WorldView {
                                                     PeerId provider) const;
   [[nodiscard]] std::vector<std::pair<ObjectId, std::vector<PeerId>>>
   want_providers(PeerId root) const;
+  /// Whether `provider` already serves `requester` its want `object` in
+  /// a ring, read from the provider's IRQ entry state (close_objects'
+  /// exclusion; the snapshot builder reads it from the download's
+  /// sessions instead and checks the two agree).
+  [[nodiscard]] bool ring_bound_in_irq(PeerId provider, PeerId requester,
+                                       ObjectId object) const;
 
   /// Mean full-request-tree wire size over sharing peers right now
   /// (Section V cost accounting; used by the Bloom ablation).
@@ -419,6 +425,12 @@ class System final : private discovery::WorldView {
   void drain_dirty();
   void process_peer(PeerId p);
   bool try_form_ring(const RingProposal& proposal);
+  /// Per-link execution plan produced by try_form_ring's validation.
+  struct PlanItem {
+    enum class Upload { kFreeSlot, kUpgrade, kPreempt } upload;
+    SessionId victim;   ///< session to end first (upgrade or preemption)
+    bool create_entry;  ///< closing link with no registered request yet
+  };
   void collapse_ring(RingId r, SessionId cause);
   void fill_free_slots(PeerId provider);
   IrqEntry* pick_non_exchange(Peer& provider);
@@ -440,11 +452,12 @@ class System final : private discovery::WorldView {
   const std::vector<PeerId>& scan_peers(PeerPred pred);
 
   // --- graph-snapshot cache ---
-  /// Records that `p`'s snapshot rows (its request edges as provider,
-  /// its closures/wants as root) may have changed. Every mutation site
-  /// must mark exactly the peers whose rows moved; the next
-  /// graph_snapshot() read patches those rows only.
-  void touch_graph(PeerId p);
+  /// Records that `p`'s snapshot rows of kind `rows` may have changed:
+  /// kEdges for its request edges as provider, kRoot for its closures
+  /// and wants as root. Every mutation site must mark exactly the peers
+  /// and kinds whose rows moved; the next graph_snapshot() read patches
+  /// those rows only.
+  void touch_graph(PeerId p, RowKind rows);
   /// Whole-population invalidation (rare events only): the next read
   /// rebuilds the snapshot — and, in Bloom mode, the summaries — from
   /// scratch.
@@ -452,10 +465,10 @@ class System final : private discovery::WorldView {
     graph_all_dirty_ = true;
     bloom_all_dirty_ = true;
   }
-  /// Marks every root whose closure/want rows depend on `provider`
-  /// (roots with a pending download that discovered it) dirty. Call
-  /// when the provider's closer eligibility moved: online/sharing flips
-  /// and storage content changes.
+  /// Marks the root rows (kRoot) of every root whose closures/wants
+  /// depend on `provider` (roots with a pending download that
+  /// discovered it) dirty. Call when the provider's closer eligibility
+  /// moved: online/sharing flips and storage content changes.
   void touch_watchers(PeerId provider);
   /// Registers/unregisters `d.peer` as a watcher of every provider in
   /// `d`'s discovered span, keeping the touch_watchers() reverse index
@@ -471,7 +484,7 @@ class System final : private discovery::WorldView {
   /// From-scratch snapshot derivation (into `snap`), and the shared
   /// per-peer row builder the patch path reuses.
   void rebuild_snapshot_into(GraphSnapshot& snap) const;
-  void build_peer_rows(const Peer& p, GraphSnapshot& snap) const;
+  void build_peer_rows(const Peer& p, RowKind rows, GraphSnapshot& snap) const;
 
   [[nodiscard]] Peer& peer_mut(PeerId p);
   [[nodiscard]] Download& download(DownloadId d);
@@ -518,6 +531,11 @@ class System final : private discovery::WorldView {
   void release_session_scratch();
   std::deque<std::vector<SessionId>> session_scratch_pool_;
   std::size_t session_scratch_depth_ = 0;
+  /// try_form_ring's plan, one item per link, reused across attempts and
+  /// scanned linearly for claimed victims and freed download slots
+  /// (rings are short; SimConfig::validate caps no ring size, so it is a
+  /// vector, not a fixed array). try_form_ring never re-enters itself.
+  std::vector<PlanItem> ring_plan_;
 
   // Lazily maintained request-graph snapshot (mutable: building is
   // caching, not observable state; the simulation is single-threaded).
@@ -531,12 +549,12 @@ class System final : private discovery::WorldView {
   /// kept unconditionally so the layout never depends on the macro).
   mutable GraphSnapshot audit_snapshot_;
 
-  // Dirty-peer delta tracking (stamp-keyed dedupe; the list is the
-  // patch worklist). Mutable: the const graph_snapshot() read consumes
-  // and clears it.
+  // Dirty-peer delta tracking: the list is the patch worklist, and
+  // graph_dirty_rows_[p] holds the kinds p was dirtied with (kNone while
+  // clean, which also dedupes the list). Mutable: the const
+  // graph_snapshot() read consumes and clears both.
   mutable std::vector<PeerId> graph_dirty_;
-  mutable std::vector<std::uint64_t> graph_dirty_stamp_;
-  mutable std::uint64_t graph_dirty_epoch_ = 1;
+  mutable std::vector<RowKind> graph_dirty_rows_;
   mutable bool graph_all_dirty_ = true;
   // Rows touched since the last Bloom summary refresh (kBloom mode;
   // consumed by refresh_bloom_summaries on the periodic sweep).

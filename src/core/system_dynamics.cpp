@@ -23,7 +23,7 @@ void System::retract_service(Peer& p, SessionEnd reason, bool lossy) {
   }
 
   if (p.irq.empty()) return;
-  touch_graph(p.id);  // queued requests at this peer disappear
+  touch_graph(p.id, RowKind::kEdges);  // queued requests here disappear
   // All sessions at p just ended, so every remaining entry is queued;
   // drop them and starve-out downloads that lost their last provider.
   std::vector<std::pair<RequestKey, DownloadId>> dropped;
@@ -48,7 +48,7 @@ void System::peer_leave(PeerId pid) {
   if (!p.online) return;
   set_online(p, false);
   ++counters_.peer_departures;
-  touch_graph(pid);     // its own rows vanish
+  touch_graph(pid, RowKind::kBoth);  // its own rows vanish
   touch_watchers(pid);  // roots that discovered it lose a closer
 
   // Leave the lookup index FIRST: dropping the queue below makes starved
@@ -74,7 +74,7 @@ void System::peer_crash(PeerId pid) {
   // A crash is a departure for population accounting (peer_join brings
   // the peer back either way); the crash counter tells them apart.
   ++counters_.peer_departures;
-  touch_graph(pid);     // its own rows vanish
+  touch_graph(pid, RowKind::kBoth);  // its own rows vanish
   touch_watchers(pid);  // roots that discovered it lose a closer
 
   // Unlike peer_leave, the lookup index does NOT hear about the failure:
@@ -100,7 +100,7 @@ void System::peer_join(PeerId pid) {
   if (p.online) return;
   set_online(p, true);
   ++counters_.peer_arrivals;
-  touch_graph(pid);
+  touch_graph(pid, RowKind::kBoth);
   touch_watchers(pid);  // roots that discovered it regain a closer
   if (p.shares)
     for (ObjectId o : p.storage.objects()) lookup_add_owner(o, pid);
@@ -114,7 +114,7 @@ void System::set_sharing(PeerId pid, bool shares) {
   if (p.shares == shares) return;
   p.shares = shares;
   ++counters_.sharing_flips;
-  touch_graph(pid);     // turning off drops its queue (retract_service)
+  touch_graph(pid, RowKind::kBoth);  // turning off drops its queue
   touch_watchers(pid);  // provider eligibility feeds roots' closures/wants
   if (shares) {
     ++num_sharing_;

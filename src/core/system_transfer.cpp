@@ -2,7 +2,6 @@
 // formation/collapse and the exchange-priority upload scheduler.
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/system.h"
 #include "obs/trace.h"
@@ -117,8 +116,8 @@ SessionId System::start_session(PeerId provider, IrqEntry& entry,
   // provider's edge row and from the requester's closure row (the
   // already-serving exclusion).
   if (ring.valid()) {
-    touch_graph(provider);
-    touch_graph(entry.requester);
+    touch_graph(provider, RowKind::kEdges);
+    touch_graph(entry.requester, RowKind::kRoot);
   }
 
   // Re-acquire: the push_back above may have invalidated `d`? No —
@@ -151,8 +150,8 @@ void System::end_session(SessionId sid, SessionEnd reason, bool lossy) {
   // non-exchange session (kActiveNonExchange -> kQueued) leaves the
   // snapshot's view of the entry unchanged.
   if (s.ring.valid()) {
-    touch_graph(s.provider);
-    touch_graph(s.requester);
+    touch_graph(s.provider, RowKind::kEdges);
+    touch_graph(s.requester, RowKind::kRoot);
   }
 
   Peer& prov = peers_[s.provider.value];
@@ -246,7 +245,7 @@ void System::complete_download(DownloadId did) {
     return;
   }
   d.received = static_cast<double>(d.size);
-  touch_graph(d.peer);  // the root loses this pending download
+  touch_graph(d.peer, RowKind::kRoot);  // the root loses this download
   unwatch_providers(d);
 
   {
@@ -260,7 +259,7 @@ void System::complete_download(DownloadId did) {
 
   for (PeerId provider : registered_sorted(d)) {
     peers_[provider.value].irq.remove(RequestKey{d.peer, d.object});
-    touch_graph(provider);  // its request edge from d.peer goes away
+    touch_graph(provider, RowKind::kEdges);  // its edge from d.peer goes away
   }
 
   sim_.cancel(d.completion);
@@ -359,27 +358,14 @@ std::vector<RingProposal> System::ring_candidates(PeerId root) {
   return out;
 }
 
-namespace {
-/// Per-link execution plan produced by validation.
-struct PlanItem {
-  enum class Upload { kFreeSlot, kUpgrade, kPreempt } upload;
-  SessionId victim;     ///< session to end first (upgrade or preemption)
-  bool create_entry;    ///< closing link with no registered request yet
-};
-}  // namespace
-
 bool System::try_form_ring(const RingProposal& proposal) {
   P2PEX_INVARIANT_MSG(proposal.well_formed(), "malformed ring proposal");
   const std::size_t n = proposal.size();
   if (n < 2 || n > cfg_.max_ring_size) return false;
 
   // --- Token walk: validate every link against live state. ---
-  std::vector<PlanItem> plan(n);
-  std::unordered_set<SessionId> claimed_victims;
-  // Download-slot balance: sessions we will end free slots at their
-  // requesters before the new ring sessions start.
-  std::unordered_map<PeerId, int> freed_download_slots;
-
+  std::vector<PlanItem>& plan = ring_plan_;
+  plan.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const RingLink& link = proposal.links[i];
     Peer& x = peers_[link.provider.value];
@@ -415,11 +401,16 @@ bool System::try_form_ring(const RingProposal& proposal) {
     } else if (x.free_upload_slots() > 0) {
       plan[i].upload = PlanItem::Upload::kFreeSlot;
     } else if (cfg_.preemption) {
-      // Reclaim the youngest non-exchange upload at x.
+      // Reclaim the youngest non-exchange upload at x not already
+      // claimed by an earlier link.
+      const auto claimed = [&](SessionId sid) {
+        for (std::size_t j = 0; j < i; ++j)
+          if (plan[j].victim == sid) return true;
+        return false;
+      };
       SessionId victim;
       for (auto it = x.uploads.rbegin(); it != x.uploads.rend(); ++it) {
-        const Session& cand = sessions_[it->value];
-        if (!cand.ring.valid() && claimed_victims.count(*it) == 0) {
+        if (!sessions_[it->value].ring.valid() && !claimed(*it)) {
           victim = *it;
           break;
         }
@@ -430,19 +421,18 @@ bool System::try_form_ring(const RingProposal& proposal) {
     } else {
       return false;
     }
-    if (plan[i].victim.valid()) {
-      claimed_victims.insert(plan[i].victim);
-      ++freed_download_slots[sessions_[plan[i].victim.value].requester];
-    }
   }
 
-  // Download-capacity check (each peer is requester in exactly one link).
+  // Download-capacity check (each peer is requester in exactly one
+  // link): the sessions the plan ends free slots at their requesters
+  // before the new ring sessions start.
   for (std::size_t i = 0; i < n; ++i) {
-    const RingLink& link = proposal.links[i];
-    const Peer& y = peers_[link.requester.value];
-    int avail = y.free_download_slots();
-    const auto it = freed_download_slots.find(link.requester);
-    if (it != freed_download_slots.end()) avail += it->second;
+    const PeerId requester = proposal.links[i].requester;
+    int avail = peers_[requester.value].free_download_slots();
+    for (const PlanItem& item : plan)
+      if (item.victim.valid() &&
+          sessions_[item.victim.value].requester == requester)
+        ++avail;
     if (avail < 1) return false;
   }
 
@@ -495,7 +485,7 @@ bool System::try_form_ring(const RingProposal& proposal) {
       // (that is what makes the link closable), so the flag column can
       // always represent it.
       set_registered(d, link.provider);
-      touch_graph(link.provider);  // ring-closing entry created
+      touch_graph(link.provider, RowKind::kEdges);  // ring-closing entry
     }
     const SessionId sid =
         start_session(link.provider, *e, rid, static_cast<std::uint8_t>(n));

@@ -14,11 +14,11 @@
 
 namespace p2pex {
 
-void System::touch_graph(PeerId p) {
-  if (!graph_all_dirty_ &&
-      graph_dirty_stamp_[p.value] != graph_dirty_epoch_) {
-    graph_dirty_stamp_[p.value] = graph_dirty_epoch_;
-    graph_dirty_.push_back(p);
+void System::touch_graph(PeerId p, RowKind rows) {
+  if (!graph_all_dirty_) {
+    RowKind& dirty = graph_dirty_rows_[p.value];
+    if (dirty == RowKind::kNone) graph_dirty_.push_back(p);
+    dirty = dirty | rows;
   }
   if (cfg_.tree_mode == TreeMode::kBloom && !bloom_all_dirty_ &&
       bloom_dirty_stamp_[p.value] != bloom_dirty_epoch_) {
@@ -28,7 +28,8 @@ void System::touch_graph(PeerId p) {
 }
 
 void System::touch_watchers(PeerId provider) {
-  for (const WatchEntry& e : watchers_[provider.value]) touch_graph(e.root);
+  for (const WatchEntry& e : watchers_[provider.value])
+    touch_graph(e.root, RowKind::kRoot);
 }
 
 void System::watch_providers(Download& d) {
@@ -81,8 +82,9 @@ const GraphSnapshot& System::graph_snapshot() const {
     P2PEX_TRACE_SPAN("snapshot.patch", "snapshot");
     snapshot_.begin_patch();
     for (const PeerId p : graph_dirty_) {
-      snapshot_.patch_peer(p);
-      build_peer_rows(peers_[p.value], snapshot_);
+      const RowKind rows = graph_dirty_rows_[p.value];
+      snapshot_.patch_peer(p, rows);
+      build_peer_rows(peers_[p.value], rows, snapshot_);
       snapshot_.seal_peer();
     }
     snapshot_.finish_patch();
@@ -111,8 +113,9 @@ const GraphSnapshot& System::graph_snapshot() const {
 #endif
   snapshot_built_ = true;
   graph_all_dirty_ = false;
+  for (const PeerId p : graph_dirty_)
+    graph_dirty_rows_[p.value] = RowKind::kNone;
   graph_dirty_.clear();
-  ++graph_dirty_epoch_;
   return snapshot_;
 }
 
@@ -120,32 +123,36 @@ void System::rebuild_snapshot_into(GraphSnapshot& snap) const {
   const std::size_t n = peers_.size();
   snap.begin(n);
   for (std::size_t i = 0; i < n; ++i) {
-    build_peer_rows(peers_[i], snap);
+    build_peer_rows(peers_[i], RowKind::kBoth, snap);
     snap.next_peer();
   }
   snap.finish();
 }
 
-/// Emits one peer's snapshot rows (request edges as provider, closures
-/// and wants as root) into the snapshot's currently open peer. Shared
-/// verbatim by the full rebuild and the patch path so a patched row can
-/// never diverge from a rebuilt one.
-void System::build_peer_rows(const Peer& p, GraphSnapshot& snap) const {
+/// Emits one peer's snapshot rows of kinds `rows` (request edges as
+/// provider, closures and wants as root) into the snapshot's currently
+/// open peer. Shared verbatim by the full rebuild and the patch path so
+/// a patched row can never diverge from a rebuilt one.
+void System::build_peer_rows(const Peer& p, RowKind rows,
+                             GraphSnapshot& snap) const {
   // Request edges: distinct online requesters with a usable
   // (non-ring-bound) entry, first-arrival order, labelled with the
   // oldest usable object — must match requesters_of/request_between
   // below exactly (the equivalence tests pin this).
-  const std::uint64_t stamp = ++snap_seen_stamp_;
-  for (const IrqEntry& e : p.irq.entries()) {
-    if (e.state == RequestState::kActiveExchange) continue;  // ring-bound
-    if (snap_seen_[e.requester.value] == stamp) continue;
-    if (!peers_[e.requester.value].online) continue;
-    // Partition confinement (no-op unpartitioned); must mirror
-    // requesters_of below.
-    if (!faults_.reachable(p.id, e.requester)) continue;
-    snap_seen_[e.requester.value] = stamp;
-    snap.add_edge(e.requester, e.object);
+  if (has_rows(rows, RowKind::kEdges)) {
+    const std::uint64_t stamp = ++snap_seen_stamp_;
+    for (const IrqEntry& e : p.irq.entries()) {
+      if (e.state == RequestState::kActiveExchange) continue;  // ring-bound
+      if (snap_seen_[e.requester.value] == stamp) continue;
+      if (!peers_[e.requester.value].online) continue;
+      // Partition confinement (no-op unpartitioned); must mirror
+      // requesters_of below.
+      if (!faults_.reachable(p.id, e.requester)) continue;
+      snap_seen_[e.requester.value] = stamp;
+      snap.add_edge(e.requester, e.object);
+    }
   }
+  if (!has_rows(rows, RowKind::kRoot)) return;
 
   // Closure facts and Bloom closer candidates of the peer as search
   // root, in issue order; the discovered span is in lookup-return
@@ -166,11 +173,18 @@ void System::build_peer_rows(const Peer& p, GraphSnapshot& snap) const {
     for (PeerId prov : snap_providers_) {
       snap.add_want(d.object, prov);
       // Skip wants this provider is already serving us in a ring
-      // (close_objects' exclusion; want_providers keeps them).
-      if (const IrqEntry* e =
-              peers_[prov.value].irq.find(RequestKey{p.id, d.object});
-          e != nullptr && e->state == RequestState::kActiveExchange)
-        continue;
+      // (close_objects' exclusion; want_providers keeps them). The
+      // download's own sessions tell, without a probe into the
+      // provider's IRQ: its ring-bound entry is exactly an active ring
+      // session from that provider feeding this download.
+      const bool in_ring = std::any_of(
+          d.sessions.begin(), d.sessions.end(), [&](SessionId sid) {
+            const Session& s = sessions_[sid.value];
+            return s.provider == prov && s.ring.valid();
+          });
+      P2PEX_INVARIANT_MSG(in_ring == ring_bound_in_irq(prov, p.id, d.object),
+                          "ring exclusion disagrees with the IRQ entry state");
+      if (in_ring) continue;
       snap.add_closure(prov, d.object);
     }
   }
@@ -235,12 +249,17 @@ std::vector<ObjectId> System::close_objects(PeerId root,
     if (!discovered_contains(d, provider)) continue;
     if (!prov.storage.contains(d.object)) continue;
     // Skip wants this provider is already serving us in a ring.
-    if (const IrqEntry* e = prov.irq.find(RequestKey{root, d.object});
-        e != nullptr && e->state == RequestState::kActiveExchange)
-      continue;
+    if (ring_bound_in_irq(provider, root, d.object)) continue;
     out.push_back(d.object);
   }
   return out;
+}
+
+bool System::ring_bound_in_irq(PeerId provider, PeerId requester,
+                               ObjectId object) const {
+  const IrqEntry* e =
+      peers_[provider.value].irq.find(RequestKey{requester, object});
+  return e != nullptr && e->state == RequestState::kActiveExchange;
 }
 
 std::vector<std::pair<ObjectId, std::vector<PeerId>>> System::want_providers(
@@ -333,9 +352,9 @@ MemoryFootprint System::memory_footprint() const {
   for (const auto& w : watchers_)
     f.graph_bytes += w.capacity() * sizeof(WatchEntry);
   f.graph_bytes +=
-      (graph_dirty_stamp_.capacity() + bloom_dirty_stamp_.capacity() +
-       snap_seen_.capacity()) *
-      sizeof(std::uint64_t);
+      (bloom_dirty_stamp_.capacity() + snap_seen_.capacity()) *
+          sizeof(std::uint64_t) +
+      graph_dirty_rows_.capacity() * sizeof(RowKind);
   f.graph_bytes += (graph_dirty_.capacity() + bloom_dirty_.capacity() +
                     snap_providers_.capacity()) *
                    sizeof(PeerId);

@@ -1,7 +1,5 @@
 #include "proto/irq.h"
 
-#include <algorithm>
-
 #include "util/assert.h"
 
 namespace p2pex {
@@ -16,20 +14,14 @@ bool IncomingRequestQueue::add(const IrqEntry& entry) {
   const RequestKey key{entry.requester, entry.object};
   if (by_key_.count(key) != 0) return false;
   entries_.push_back(entry);
-  const auto it = std::prev(entries_.end());
-  by_key_[key] = it;
-  by_requester_[entry.requester].push_back(it);
+  by_key_[key] = std::prev(entries_.end());
   return true;
 }
 
 bool IncomingRequestQueue::remove(RequestKey key) {
   const auto kit = by_key_.find(key);
   if (kit == by_key_.end()) return false;
-  const auto it = kit->second;
-  auto& from = by_requester_[key.requester];
-  from.erase(std::find(from.begin(), from.end(), it));
-  if (from.empty()) by_requester_.erase(key.requester);
-  entries_.erase(it);
+  entries_.erase(kit->second);
   by_key_.erase(kit);
   return true;
 }
@@ -48,26 +40,6 @@ IrqEntry* IncomingRequestQueue::oldest_queued() {
   for (auto& e : entries_)
     if (e.state == RequestState::kQueued) return &e;
   return nullptr;
-}
-
-std::vector<PeerId> IncomingRequestQueue::distinct_requesters() const {
-  // First-arrival order: walk the FIFO and emit each requester once.
-  std::vector<PeerId> out;
-  out.reserve(by_requester_.size());
-  for (const auto& e : entries_) {
-    if (std::find(out.begin(), out.end(), e.requester) == out.end())
-      out.push_back(e.requester);
-  }
-  return out;
-}
-
-std::vector<IrqEntry*> IncomingRequestQueue::entries_from(PeerId requester) {
-  std::vector<IrqEntry*> out;
-  const auto it = by_requester_.find(requester);
-  if (it == by_requester_.end()) return out;
-  out.reserve(it->second.size());
-  for (auto lit : it->second) out.push_back(&*lit);
-  return out;
 }
 
 }  // namespace p2pex

@@ -3,15 +3,13 @@
 // Every peer keeps an IRQ "where remote peers register their interest for
 // a local file". The IRQ is bounded (paper: 1000 entries); registrations
 // beyond the bound are refused. Entries are kept in FIFO arrival order
-// (the order used to serve non-exchange transfers) and indexed both by
-// (requester, object) key and by requester, the latter providing the
-// adjacency lists of the request graph used by ring search.
+// (the order used to serve non-exchange transfers) and indexed by
+// (requester, object) key.
 #pragma once
 
 #include <cstddef>
 #include <list>
 #include <unordered_map>
-#include <vector>
 
 #include "proto/request.h"
 #include "util/types.h"
@@ -30,9 +28,9 @@ struct IrqEntry {
   SessionId session;      ///< valid iff state != kQueued
 };
 
-/// Bounded FIFO of registered requests with by-key and by-requester
-/// indexes. Iterators remain valid across unrelated insert/erase
-/// (std::list semantics), which the scheduler relies on.
+/// Bounded FIFO of registered requests with a by-key index. Iterators
+/// remain valid across unrelated insert/erase (std::list semantics),
+/// which the scheduler relies on.
 class IncomingRequestQueue {
  public:
   explicit IncomingRequestQueue(std::size_t capacity);
@@ -60,30 +58,16 @@ class IncomingRequestQueue {
   [[nodiscard]] const std::list<IrqEntry>& entries() const { return entries_; }
   [[nodiscard]] std::list<IrqEntry>& entries() { return entries_; }
 
-  /// Distinct requesters currently registered, in first-arrival order.
-  /// These are the children of this peer in its request tree.
-  [[nodiscard]] std::vector<PeerId> distinct_requesters() const;
-
-  /// Entries registered by one requester (any state), FIFO order.
-  [[nodiscard]] std::vector<IrqEntry*> entries_from(PeerId requester);
-
-  /// Estimated heap bytes held: list nodes plus both index maps (hash
+  /// Estimated heap bytes held: list nodes plus the index map (hash
   /// node overhead approximated at two pointers per entry plus the
-  /// bucket arrays). Deterministic inputs only — capacity/size, never
+  /// bucket array). Deterministic inputs only — capacity/size, never
   /// addresses — so tests can pin budgets on it.
   [[nodiscard]] std::size_t memory_bytes() const {
     constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
-    std::size_t by_req = 0;
-    // p2pex-lint: order-insensitive (commutative sum over bucket sizes)
-    for (const auto& [req, its] : by_requester_)
-      by_req += sizeof(PeerId) + kNodeOverhead +
-                its.capacity() * sizeof(List::iterator);
     return entries_.size() * (sizeof(IrqEntry) + kNodeOverhead) +
            by_key_.size() *
                (sizeof(RequestKey) + sizeof(List::iterator) + kNodeOverhead) +
-           (by_key_.bucket_count() + by_requester_.bucket_count()) *
-               sizeof(void*) +
-           by_req;
+           by_key_.bucket_count() * sizeof(void*);
   }
 
  private:
@@ -92,7 +76,6 @@ class IncomingRequestQueue {
   std::size_t capacity_;
   List entries_;
   std::unordered_map<RequestKey, List::iterator> by_key_;
-  std::unordered_map<PeerId, std::vector<List::iterator>> by_requester_;
 };
 
 }  // namespace p2pex

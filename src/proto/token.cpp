@@ -1,12 +1,9 @@
 #include "proto/token.h"
 
-#include <unordered_set>
-
 namespace p2pex {
 
 bool RingProposal::well_formed() const {
   if (links.size() < 2) return false;
-  std::unordered_set<PeerId> providers;
   for (std::size_t i = 0; i < links.size(); ++i) {
     const auto& link = links[i];
     const auto& next = links[(i + 1) % links.size()];
@@ -14,7 +11,10 @@ bool RingProposal::well_formed() const {
         !link.object.valid())
       return false;
     if (link.requester != next.provider) return false;
-    if (!providers.insert(link.provider).second) return false;
+    // Distinct providers by scanning the earlier links: rings are short,
+    // and the scan allocates nothing.
+    for (std::size_t j = 0; j < i; ++j)
+      if (links[j].provider == link.provider) return false;
   }
   return true;
 }

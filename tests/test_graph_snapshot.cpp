@@ -345,17 +345,34 @@ INSTANTIATE_TEST_SUITE_P(Corpus, SnapshotEquivalence,
 class PatchModel {
  public:
   PatchModel(std::size_t n, std::uint64_t seed) : n_(n), rng_(seed), rows_(n) {
-    for (std::uint32_t p = 0; p < n; ++p) regen(p);
+    for (std::uint32_t p = 0; p < n; ++p) regen(p, RowKind::kBoth);
   }
 
-  /// Regenerates `count` random rows; returns the deduplicated dirty set.
-  std::vector<PeerId> mutate(std::size_t count) {
-    std::vector<PeerId> dirty;
+  /// One dirty peer and the row kinds its mutations moved.
+  struct Dirty {
+    PeerId peer;
+    RowKind rows;
+  };
+
+  /// Regenerates `count` random peers' rows — every kind, or with
+  /// `random_kinds` one randomly drawn kind per regeneration; returns the
+  /// dirty set, one entry per peer with the union of its kinds.
+  std::vector<Dirty> mutate(std::size_t count, bool random_kinds = false) {
+    static constexpr RowKind kKinds[] = {RowKind::kEdges, RowKind::kRoot,
+                                         RowKind::kBoth};
+    std::vector<Dirty> dirty;
     for (std::size_t i = 0; i < count; ++i) {
       const auto p = static_cast<std::uint32_t>(rng_.index(n_));
-      regen(p);
-      if (std::find(dirty.begin(), dirty.end(), PeerId{p}) == dirty.end())
-        dirty.push_back(PeerId{p});
+      const RowKind rows =
+          random_kinds ? kKinds[rng_.index(3)] : RowKind::kBoth;
+      regen(p, rows);
+      const auto it =
+          std::find_if(dirty.begin(), dirty.end(),
+                       [p](const Dirty& d) { return d.peer == PeerId{p}; });
+      if (it == dirty.end())
+        dirty.push_back(Dirty{PeerId{p}, rows});
+      else
+        it->rows = it->rows | rows;
     }
     return dirty;
   }
@@ -363,17 +380,17 @@ class PatchModel {
   void build_full(GraphSnapshot& snap) const {
     snap.begin(n_);
     for (std::uint32_t p = 0; p < n_; ++p) {
-      emit(snap, p);
+      emit(snap, p, RowKind::kBoth);
       snap.next_peer();
     }
     snap.finish();
   }
 
-  void patch(GraphSnapshot& snap, const std::vector<PeerId>& dirty) const {
+  void patch(GraphSnapshot& snap, const std::vector<Dirty>& dirty) const {
     snap.begin_patch();
-    for (const PeerId p : dirty) {
-      snap.patch_peer(p);
-      emit(snap, p.value);
+    for (const Dirty& d : dirty) {
+      snap.patch_peer(d.peer, d.rows);
+      emit(snap, d.peer.value, d.rows);
       snap.seal_peer();
     }
     snap.finish_patch();
@@ -386,21 +403,24 @@ class PatchModel {
     std::vector<CloseEdge> closures;   // seal groups by provider
   };
 
-  void regen(std::uint32_t p) {
+  void regen(std::uint32_t p, RowKind rows) {
     Row& r = rows_[p];
-    r.edges.clear();
+    if (has_rows(rows, RowKind::kEdges)) {
+      r.edges.clear();
+      const std::size_t deg = rng_.index(6);
+      for (std::size_t i = 0; i < deg; ++i) {
+        const PeerId req{static_cast<std::uint32_t>(rng_.index(n_))};
+        const auto dup = std::find_if(
+            r.edges.begin(), r.edges.end(),
+            [req](const GraphEdge& e) { return e.requester == req; });
+        if (dup != r.edges.end()) continue;
+        r.edges.push_back(GraphEdge{
+            req, ObjectId{static_cast<std::uint32_t>(rng_.index(50))}});
+      }
+    }
+    if (!has_rows(rows, RowKind::kRoot)) return;
     r.wants.clear();
     r.closures.clear();
-    const std::size_t deg = rng_.index(6);
-    for (std::size_t i = 0; i < deg; ++i) {
-      const PeerId req{static_cast<std::uint32_t>(rng_.index(n_))};
-      const auto dup =
-          std::find_if(r.edges.begin(), r.edges.end(),
-                       [req](const GraphEdge& e) { return e.requester == req; });
-      if (dup != r.edges.end()) continue;
-      r.edges.push_back(
-          GraphEdge{req, ObjectId{static_cast<std::uint32_t>(rng_.index(50))}});
-    }
     const std::size_t closers = rng_.index(4);
     for (std::size_t i = 0; i < closers; ++i) {
       const PeerId prov{static_cast<std::uint32_t>(rng_.index(n_))};
@@ -410,9 +430,11 @@ class PatchModel {
     }
   }
 
-  void emit(GraphSnapshot& snap, std::uint32_t p) const {
+  void emit(GraphSnapshot& snap, std::uint32_t p, RowKind rows) const {
     const Row& r = rows_[p];
-    for (const GraphEdge& e : r.edges) snap.add_edge(e.requester, e.object);
+    if (has_rows(rows, RowKind::kEdges))
+      for (const GraphEdge& e : r.edges) snap.add_edge(e.requester, e.object);
+    if (!has_rows(rows, RowKind::kRoot)) return;
     for (const WantEdge& w : r.wants) snap.add_want(w.object, w.provider);
     for (const CloseEdge& c : r.closures)
       snap.add_closure(c.provider, c.object);
@@ -457,6 +479,71 @@ TEST(GraphSnapshotPatch, RewritesOnlyDirtyRows) {
   EXPECT_EQ(g.num_closures(), 2u);
   EXPECT_EQ(g.num_wants(), 0u);
   EXPECT_EQ(g.edge_slack(), 1u);
+}
+
+TEST(GraphSnapshotPatch, RewritesOnlyTheDirtyRowKind) {
+  // Peer 0's facts (peers 1 and 2 have none). Each patch below changes
+  // one kind of them and patches only that kind.
+  std::vector<GraphEdge> edges = {{PeerId{1}, ObjectId{5}}};
+  std::vector<CloseEdge> closures = {{PeerId{2}, ObjectId{7}}};
+  std::vector<WantEdge> wants = {{ObjectId{7}, PeerId{2}}};
+  const auto emit = [&](GraphSnapshot& g, RowKind rows) {
+    if (has_rows(rows, RowKind::kEdges))
+      for (const GraphEdge& e : edges) g.add_edge(e.requester, e.object);
+    if (!has_rows(rows, RowKind::kRoot)) return;
+    for (const CloseEdge& c : closures) g.add_closure(c.provider, c.object);
+    for (const WantEdge& w : wants) g.add_want(w.object, w.provider);
+  };
+  const auto full_build = [&](GraphSnapshot& g) {
+    g.begin(3);
+    emit(g, RowKind::kBoth);
+    for (int p = 0; p < 3; ++p) g.next_peer();
+    g.finish();
+  };
+  const auto patch = [&](GraphSnapshot& g, RowKind rows) {
+    g.begin_patch();
+    g.patch_peer(PeerId{0}, rows);
+    emit(g, rows);
+    g.seal_peer();
+    g.finish_patch();
+  };
+  GraphSnapshot g, fresh;
+  full_build(g);
+
+  // Edges: the edge row moves; the root rows and their counts do not,
+  // and their arenas gain no slack (nothing was rewritten there).
+  edges = {{PeerId{2}, ObjectId{6}}, {PeerId{1}, ObjectId{5}}};
+  patch(g, RowKind::kEdges);
+  ASSERT_EQ(g.requesters_of(PeerId{0}).size(), 2u);
+  EXPECT_EQ(g.requesters_of(PeerId{0})[0], PeerId{2});
+  EXPECT_EQ(g.num_edges(), 2u);
+  ASSERT_EQ(g.closures_of(PeerId{0}).size(), 1u);
+  EXPECT_EQ(g.closures_of(PeerId{0})[0], (CloseEdge{PeerId{2}, ObjectId{7}}));
+  ASSERT_EQ(g.want_providers(PeerId{0}).size(), 1u);
+  EXPECT_EQ(g.want_providers(PeerId{0})[0], (WantEdge{ObjectId{7}, PeerId{2}}));
+  EXPECT_EQ(g.num_closures(), 1u);
+  EXPECT_EQ(g.num_wants(), 1u);
+  EXPECT_EQ(g.closure_slack(), 0u);
+  EXPECT_EQ(g.want_slack(), 0u);
+  full_build(fresh);
+  EXPECT_TRUE(g.rows_equal(fresh));
+
+  // Root rows: closures and wants move; the edge row and its count do
+  // not, and the edge arena keeps only the first patch's slack.
+  closures = {{PeerId{2}, ObjectId{9}}, {PeerId{1}, ObjectId{8}}};
+  wants = {{ObjectId{9}, PeerId{2}}, {ObjectId{8}, PeerId{1}}};
+  patch(g, RowKind::kRoot);
+  ASSERT_EQ(g.closures_of(PeerId{0}).size(), 2u);
+  EXPECT_EQ(g.closures_of(PeerId{0})[0].provider, PeerId{1});  // grouped
+  EXPECT_EQ(g.num_closures(), 2u);
+  EXPECT_EQ(g.num_wants(), 2u);
+  ASSERT_EQ(g.requesters_of(PeerId{0}).size(), 2u);
+  EXPECT_EQ(g.request_between(PeerId{0}, PeerId{2}), ObjectId{6});
+  EXPECT_EQ(g.request_between(PeerId{0}, PeerId{1}), ObjectId{5});
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.edge_slack(), 1u);
+  full_build(fresh);
+  EXPECT_TRUE(g.rows_equal(fresh));
 }
 
 TEST(GraphSnapshotPatch, EmptyPatchIsANoOp) {
@@ -526,7 +613,8 @@ TEST_P(PatchFuzz, PatchedSnapshotMatchesFromScratchRebuild) {
                               TreeMode::kFullTree);
   Rng rounds(GetParam() ^ 0xABCDEF);
   for (int round = 0; round < 40; ++round) {
-    model.patch(live, model.mutate(1 + rounds.index(8)));
+    // Each dirty peer is patched with only the kinds that moved.
+    model.patch(live, model.mutate(1 + rounds.index(8), true));
     model.build_full(fresh);
     ASSERT_TRUE(live.rows_equal(fresh)) << "round " << round;
     // Interleaved searches: proposals over the patched arenas must be
@@ -549,11 +637,16 @@ TEST_P(PatchFuzz, RefreshedBloomSummariesMatchFullRebuild) {
   inc.rebuild_summaries(live, 32, 0.05);
   Rng rounds(GetParam() ^ 0xF00D);
   for (int round = 0; round < 40; ++round) {
-    const std::vector<PeerId> dirty = model.mutate(1 + rounds.index(8));
+    const std::vector<PatchModel::Dirty> dirty =
+        model.mutate(1 + rounds.index(8), true);
     model.patch(live, dirty);
     model.build_full(fresh);
     ASSERT_TRUE(live.rows_equal(fresh)) << "round " << round;
-    inc.refresh_summaries(live, dirty, 32, 0.05);
+    // Like the System, the summaries hear of every dirty peer, whichever
+    // kind moved.
+    std::vector<PeerId> dirty_peers;
+    for (const PatchModel::Dirty& d : dirty) dirty_peers.push_back(d.peer);
+    inc.refresh_summaries(live, dirty_peers, 32, 0.05);
     scratch.rebuild_summaries(fresh, 32, 0.05);
     // Bit-for-bit: every peer's per-level filters (geometry, bits and
     // insert counts) must match a from-scratch build.

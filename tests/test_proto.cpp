@@ -59,29 +59,6 @@ TEST(Irq, OldestQueuedIsFifoAndSkipsActive) {
   EXPECT_EQ(oldest->requester, PeerId{2});
 }
 
-TEST(Irq, DistinctRequestersInArrivalOrder) {
-  IncomingRequestQueue q(10);
-  q.add(entry(5, 1));
-  q.add(entry(3, 2));
-  q.add(entry(5, 3));
-  const auto reqs = q.distinct_requesters();
-  ASSERT_EQ(reqs.size(), 2u);
-  EXPECT_EQ(reqs[0], PeerId{5});
-  EXPECT_EQ(reqs[1], PeerId{3});
-}
-
-TEST(Irq, EntriesFromRequester) {
-  IncomingRequestQueue q(10);
-  q.add(entry(1, 10));
-  q.add(entry(2, 20));
-  q.add(entry(1, 11));
-  const auto from1 = q.entries_from(PeerId{1});
-  ASSERT_EQ(from1.size(), 2u);
-  EXPECT_EQ(from1[0]->object, ObjectId{10});
-  EXPECT_EQ(from1[1]->object, ObjectId{11});
-  EXPECT_TRUE(q.entries_from(PeerId{9}).empty());
-}
-
 // --- Request trees: the paper's Figure 2 topology ---
 //
 // A's IRQ contains requests from P1 (o1), P2 (o2), P3 (o3); P2's IRQ has
@@ -270,6 +247,25 @@ TEST(RingProposal, RejectsDuplicateProvider) {
              RingLink{PeerId{1}, PeerId{0}, ObjectId{2}},
              RingLink{PeerId{0}, PeerId{0}, ObjectId{3}}};
   EXPECT_FALSE(p.well_formed());
+}
+
+TEST(RingProposal, RejectsProviderRepeatedAtNonAdjacentLinks) {
+  // Closes link by link (0 1 2 3 1 5 0), but peer 1 provides at links 1
+  // and 4.
+  const std::uint32_t providers[] = {0, 1, 2, 3, 1, 5};
+  RingProposal p;
+  for (std::uint32_t i = 0; i < 6; ++i)
+    p.links.push_back(RingLink{PeerId{providers[i]},
+                               PeerId{providers[(i + 1) % 6]}, ObjectId{i}});
+  EXPECT_FALSE(p.well_formed());
+}
+
+TEST(RingProposal, AcceptsTwelveLinkRing) {
+  RingProposal p;
+  for (std::uint32_t i = 0; i < 12; ++i)
+    p.links.push_back(
+        RingLink{PeerId{i}, PeerId{(i + 1) % 12}, ObjectId{100 + i}});
+  EXPECT_TRUE(p.well_formed());
 }
 
 TEST(RingProposal, RejectsTooShort) {

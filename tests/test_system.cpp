@@ -107,6 +107,22 @@ TEST(System, RingSizesRespectCap) {
   EXPECT_EQ(s.counters().rings_by_size[5], 0u);
 }
 
+TEST(System, LongRingCapKeepsInvariants) {
+  // A ring cap past the default 5 (SimConfig::validate sets no upper
+  // bound): the token walk's reusable plan must grow with the longest
+  // proposal, and rings longer than 5 must form and stay consistent.
+  SimConfig cfg = small_config();
+  cfg.policy = ExchangePolicy::kLongestFirst;
+  cfg.max_ring_size = 12;
+  System s(cfg);
+  for (double t = 1000.0; t <= 9000.0; t += 1000.0) {
+    s.run_to(t);
+    ASSERT_NO_THROW(s.check_invariants()) << "at t=" << t;
+  }
+  const auto& by_size = s.counters().rings_by_size;
+  EXPECT_GT(by_size[6] + by_size[7] + by_size[8], 0u);
+}
+
 TEST(System, FreeloadersNeverUpload) {
   System s(small_config());
   s.run();
