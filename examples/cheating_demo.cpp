@@ -4,7 +4,9 @@
 // 2. The middleman attack against the mediated encrypted exchange.
 #include <cstdio>
 
-#include "p2pex/p2pex.h"
+#include "security/block_exchange.h"
+#include "security/mediator.h"
+#include "util/rng.h"
 
 using namespace p2pex;
 

@@ -6,7 +6,7 @@
 // SimConfig field.
 #include <cstdio>
 
-#include "p2pex/p2pex.h"
+#include "core/experiment.h"
 
 using namespace p2pex;
 

@@ -5,7 +5,7 @@
 // user faces depending on whether it shares, under each mechanism.
 #include <cstdio>
 
-#include "p2pex/p2pex.h"
+#include "core/experiment.h"
 
 using namespace p2pex;
 

@@ -4,7 +4,8 @@
 // Build & run:   cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
-#include "p2pex/p2pex.h"
+#include "core/experiment.h"
+#include "metrics/report.h"
 
 int main() {
   using namespace p2pex;

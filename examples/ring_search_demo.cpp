@@ -9,7 +9,8 @@
 #include <cstdio>
 #include <map>
 
-#include "p2pex/p2pex.h"
+#include "core/exchange_finder.h"
+#include "proto/request_tree.h"
 
 using namespace p2pex;
 

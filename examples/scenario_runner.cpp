@@ -27,7 +27,11 @@
 #include <cstring>
 #include <string>
 
-#include "p2pex/p2pex.h"
+#include "core/experiment.h"
+#include "metrics/report.h"
+#include "obs/trace.h"
+#include "scenario/driver.h"
+#include "util/table.h"
 
 namespace {
 
@@ -173,22 +177,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(c.dht_hops),
       static_cast<unsigned long long>(c.lookup_misses),
       static_cast<unsigned long long>(c.stale_entries_served));
-  if (stable) {
-    // Deterministic subset only: no wall-clock time, nothing that
-    // varies with the machine.
-    std::printf("snapshot: %llu full rebuilds, %llu patches (%llu dirty rows)\n",
-                static_cast<unsigned long long>(r.snapshot_rebuilds),
-                static_cast<unsigned long long>(r.snapshot_patches),
-                static_cast<unsigned long long>(r.dirty_rows_patched));
-  } else {
-    std::printf(
-        "snapshot: %llu full rebuilds, %llu patches (%llu dirty rows), "
-        "%.1f ms maintaining the request graph\n",
-        static_cast<unsigned long long>(r.snapshot_rebuilds),
-        static_cast<unsigned long long>(r.snapshot_patches),
-        static_cast<unsigned long long>(r.dirty_rows_patched),
-        r.snapshot_build_seconds * 1e3);
-  }
+  std::printf("snapshot: %llu full rebuilds, %llu patches (%llu dirty rows)\n",
+              static_cast<unsigned long long>(r.snapshot_rebuilds),
+              static_cast<unsigned long long>(r.snapshot_patches),
+              static_cast<unsigned long long>(r.dirty_rows_patched));
   std::printf("\n%s", format_report(system.metrics(), c).c_str());
 
 #ifdef P2PEX_TRACE

@@ -6,9 +6,10 @@
 // cumulative allocation count (a long churn run used to leak one row per
 // departed download/session/ring forever). A stale id is still
 // detectable while its row is unreused (the `active` flag is false), and
-// the System removes every reference to an entity before freeing its row
-// — events included (completion events are hard-cancelled), so no live
-// path can observe a recycled row through an old id.
+// the System removes every reference to an entity before freeing its row.
+// Events are the exception: they stay queued, and carry the row's seq (or,
+// for a completion, their own) so that one arriving after its row moved on
+// is dropped unseen.
 //
 // Per-download provider state (the old discovered/registered
 // unordered_sets) lives out-of-line in the System's ProviderArena,
@@ -25,7 +26,6 @@
 #include "catalog/storage.h"
 #include "metrics/records.h"
 #include "proto/irq.h"
-#include "sim/event_queue.h"
 #include "util/types.h"
 
 namespace p2pex {
@@ -92,7 +92,9 @@ struct Download {
   /// the download's requests are skipped by the schedulers. 0 = none.
   SimTime retry_until = 0.0;
   std::vector<SessionId> sessions;  ///< currently active sessions
-  EventHandle completion;           ///< pending completion event
+  /// Seq of the pending completion event; 0 = none. A completion event
+  /// whose seq differs was superseded and is dropped on arrival.
+  std::uint64_t completion = 0;
   bool watched = false;  ///< span enrolled in the watcher reverse index
   bool active = true;
 

@@ -27,8 +27,6 @@ RunResult summarize_run(const System& system, std::string label) {
   r.snapshot_rebuilds = system.counters().snapshot_rebuilds;
   r.snapshot_patches = system.counters().snapshot_patches;
   r.dirty_rows_patched = system.counters().dirty_rows_patched;
-  r.snapshot_build_seconds =
-      static_cast<double>(system.counters().snapshot_build_ns) / 1e9;
   return r;
 }
 

@@ -30,7 +30,6 @@ struct RunResult {
   std::uint64_t snapshot_rebuilds = 0;    ///< full from-scratch builds
   std::uint64_t snapshot_patches = 0;     ///< dirty-row delta builds
   std::uint64_t dirty_rows_patched = 0;   ///< rows rewritten across patches
-  double snapshot_build_seconds = 0.0;    ///< cumulative build+patch time
 
   [[nodiscard]] std::size_t completed_total() const {
     return completed_sharing + completed_nonsharing;

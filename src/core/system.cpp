@@ -103,7 +103,7 @@ Download& System::alloc_download() {
     d.fault_attempts = 0;
     d.retry_until = 0.0;
     d.sessions.clear();  // keeps the row's vector capacity
-    d.completion = EventHandle{};
+    d.completion = 0;
     d.watched = false;
     d.active = true;
     return d;
@@ -256,22 +256,13 @@ void System::run_to(SimTime t) {
   P2PEX_ASSERT_MSG(t <= cfg_.sim_duration, "run_to beyond sim_duration");
   if (!started_) {
     started_ = true;
-    sim_.schedule_periodic(cfg_.eviction_interval, [this] {
-      eviction_sweep();
-      drain_dirty();
-    });
-    sim_.schedule_periodic(cfg_.search_interval, [this] { search_sweep(); });
+    sim_.schedule_periodic(cfg_.eviction_interval, kEvictionSweep);
+    sim_.schedule_periodic(cfg_.search_interval, kSearchSweep);
     // Backend maintenance (PEX gossip rounds). The oracle reports
     // interval 0, so the default path schedules no event at all and the
     // event stream stays bit-identical with the pre-backend engine.
-    if (const SimTime gossip = backend_->tick_interval(); gossip > 0.0) {
-      sim_.schedule_periodic(gossip, [this] {
-        // p2pex-lint: no-graph-effect (gossip moves discovery metadata
-        // only; no request edge, storage or session state changes)
-        backend_->tick(sim_.now());
-        drain_discovery_costs();
-      });
-    }
+    if (const SimTime gossip = backend_->tick_interval(); gossip > 0.0)
+      sim_.schedule_periodic(gossip, kGossipTick);
     if (cfg_.tree_mode == TreeMode::kBloom)
       refresh_bloom_summaries();  // first refresh is always a full build
     // Closed-loop workload: every peer immediately fills its pending set
@@ -281,7 +272,52 @@ void System::run_to(SimTime t) {
       issue_requests(PeerId::from_index(i));
     drain_dirty();
   }
-  sim_.run_until(t);
+  sim_.run_until(t, [this](const Event& e) { dispatch(e); });
+}
+
+void System::dispatch(const Event& e) {
+  switch (static_cast<EventKind>(e.kind)) {
+    case kDownloadCompletion:
+      // Superseded by a reschedule, or the download ended first (and its
+      // row may be gone: a rolled-back request trims the table's tail).
+      if (e.row >= downloads_.size() ||
+          downloads_[e.row].completion != e.seq)
+        return;
+      complete_download(DownloadId{e.row});
+      drain_dirty();
+      return;
+    case kEvictionSweep:
+      eviction_sweep();
+      drain_dirty();
+      return;
+    case kSearchSweep:
+      search_sweep();
+      return;
+    case kGossipTick:
+      // p2pex-lint: no-graph-effect (gossip moves discovery metadata
+      // only; no request edge, storage or session state changes)
+      backend_->tick(sim_.now());
+      drain_discovery_costs();
+      return;
+    case kRequestRetry:
+      peers_[e.row].retry_pending = false;
+      issue_requests(PeerId{e.row});
+      drain_dirty();
+      return;
+    case kSessionFault:
+      on_session_fault(SessionId{e.row}, e.generation);
+      return;
+    case kRetryExpiry:
+      on_retry_expired(DownloadId{e.row}, e.generation);
+      return;
+    case kStaleRetraction:
+      // Retract only if the peer is still down: a rejoin re-registered
+      // its storage, and removing now would erase live ownership.
+      // p2pex-lint: no-graph-effect (lookup state feeds discovery, not
+      // the snapshot; an offline peer has no rows)
+      if (!peers_[e.row].online) lookup_remove_peer(PeerId{e.row});
+      return;
+  }
 }
 
 void System::issue_requests(PeerId p) {
@@ -296,11 +332,7 @@ void System::issue_requests(PeerId p) {
       // complete downloads and replicate objects.
       if (!peer.retry_pending) {
         peer.retry_pending = true;
-        sim_.schedule_in(cfg_.request_retry_interval, [this, p] {
-          peers_[p.value].retry_pending = false;
-          issue_requests(p);
-          drain_dirty();
-        });
+        sim_.schedule_in(cfg_.request_retry_interval, kRequestRetry, p.value);
       }
       break;
     }
@@ -445,7 +477,7 @@ void System::cancel_download(DownloadId did, bool starved, SessionEnd reason,
     peers_[provider.value].irq.remove(RequestKey{d.peer, d.object});
     touch_graph(provider, RowKind::kEdges);  // its edge from d.peer goes away
   }
-  sim_.cancel(d.completion);
+  d.completion = 0;  // a pending completion event is now stale
   d.active = false;
   const PeerId owner = d.peer;
   Peer& peer = peers_[owner.value];

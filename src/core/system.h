@@ -54,7 +54,6 @@ struct SystemCounters {
   std::uint64_t snapshot_rebuilds = 0;   ///< full from-scratch builds
   std::uint64_t snapshot_patches = 0;    ///< dirty-row delta builds
   std::uint64_t dirty_rows_patched = 0;  ///< rows rewritten across patches
-  std::uint64_t snapshot_build_ns = 0;   ///< cumulative build+patch wall time
   // --- entity-table row recycling (capacity accounting; deterministic
   // like every other counter here) ---
   std::uint64_t download_rows_reused = 0;
@@ -372,7 +371,7 @@ class System final : private discovery::WorldView {
   Download& alloc_download();
   /// Returns `d`'s row (and provider span) to the freelists. Every
   /// external reference — pending list, IRQ entries, watcher index,
-  /// sessions, the completion event — must already be gone.
+  /// sessions — must already be gone, and Download::completion cleared.
   void release_download(Download& d);
   void release_session(SessionId sid);
   void release_ring(RingId rid);
@@ -440,6 +439,25 @@ class System final : private discovery::WorldView {
   /// Ring search rooted at `root` over the current snapshot, recording
   /// its nodes visited in the search-hops histogram.
   std::vector<RingProposal> ring_candidates(PeerId root);
+
+  // --- events ---
+  /// What a simulator event does; dispatch() switches over these. One
+  /// that names a row carries the row's id, and is dropped on arrival
+  /// once that row has moved on (see dispatch()).
+  enum EventKind : std::uint8_t {
+    kDownloadCompletion,  ///< row = download; current while its seq is
+                          ///< Download::completion
+    kEvictionSweep,       ///< periodic, eviction_interval
+    kSearchSweep,         ///< periodic, search_interval
+    kGossipTick,          ///< periodic, the backend's tick interval
+    kRequestRetry,        ///< row = peer with Peer::retry_pending set
+    kSessionFault,        ///< row = session, generation = Session::seq
+    kRetryExpiry,         ///< row = download, generation = Download::seq
+    kStaleRetraction,     ///< row = crashed peer
+  };
+  /// Runs one event's handler, draining the dirty set after the
+  /// handlers that leave it filled.
+  void dispatch(const Event& e);
 
   // --- maintenance ---
   void eviction_sweep();

@@ -21,9 +21,8 @@ void System::arm_session_fault(SessionId sid) {
   if (faults_.session_fault_rate() <= 0.0 || finished_) return;
   // The draw happens now, in session creation order, so the fault
   // schedule replays bit for bit.
-  const std::uint64_t seq = sessions_[sid.value].seq;
-  sim_.schedule_in(faults_.draw_session_lifetime(),
-                   [this, sid, seq] { on_session_fault(sid, seq); });
+  sim_.schedule_in(faults_.draw_session_lifetime(), kSessionFault,
+                   sid.value, sessions_[sid.value].seq);
 }
 
 void System::on_session_fault(SessionId sid, std::uint64_t seq) {
@@ -49,10 +48,7 @@ void System::fail_session(SessionId sid) {
     ++counters_.transfer_retries;
     const SimTime holdoff = faults_.draw_retry_holdoff(d.fault_attempts);
     d.retry_until = sim_.now() + holdoff;
-    const DownloadId did = d.id;
-    const std::uint64_t dseq = d.seq;
-    sim_.schedule_in(holdoff,
-                     [this, did, dseq] { on_retry_expired(did, dseq); });
+    sim_.schedule_in(holdoff, kRetryExpiry, d.id.value, d.seq);
   } else {
     // Past the attempt cap: graceful degradation — no further holdoff,
     // the request waits in the ordinary queues like any other. Counted
@@ -66,8 +62,10 @@ void System::fail_session(SessionId sid) {
 
 void System::on_retry_expired(DownloadId did, std::uint64_t seq) {
   if (finished_) return;
+  // Gone (a rolled-back request trims the table's tail) or recycled.
+  if (did.value >= downloads_.size()) return;
   Download& d = downloads_[did.value];
-  if (!d.active || d.seq != seq) return;  // gone; row may be recycled
+  if (!d.active || d.seq != seq) return;
   if (fault_holdoff_active(d)) return;    // a later fault extended it
   d.retry_until = 0.0;
   // The parked entries are eligible again: wake the registered
@@ -85,12 +83,7 @@ void System::schedule_stale_retraction(PeerId pid) {
     lookup_remove_peer(pid);  // p2pex-lint: no-graph-effect (lookup state feeds discovery, not the snapshot)
     return;
   }
-  sim_.schedule_in(ttl, [this, pid] {
-    // Retract only if the peer is still down: a rejoin re-registered
-    // its storage, and removing now would erase live ownership.
-    if (!peers_[pid.value].online)
-      lookup_remove_peer(pid);  // p2pex-lint: no-graph-effect (see above; offline peer has no rows)
-  });
+  sim_.schedule_in(ttl, kStaleRetraction, pid.value);
 }
 
 void System::set_fault_rates(double session_fault_rate, double lookup_loss) {

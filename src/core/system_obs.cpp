@@ -10,8 +10,9 @@
 //
 // Domain placement is the contract (see obs/metrics_registry.h):
 // everything under "core.", "finder." and "run." is replay-invariant
-// and lands in the deterministic domain the pinned digests hash;
-// "time." is wall clock and lands in the timing domain.
+// and lands in the deterministic domain the pinned digests hash. The
+// engine publishes nothing in the timing domain; wall-clock phase costs
+// are the trace spans' job (obs/trace.h).
 #include "core/system.h"
 
 #include "obs/metrics_registry.h"
@@ -36,9 +37,6 @@ const obs::MetricsRegistry& System::metrics_registry() const {
   using obs::Domain;
   const auto det = [&](const char* name, std::uint64_t v) {
     registry_.counter(name, Domain::kDeterministic).set(v);
-  };
-  const auto tim = [&](const char* name, std::uint64_t v) {
-    registry_.counter(name, Domain::kTiming).set(v);
   };
 
   const SystemCounters& c = counters_;
@@ -95,10 +93,6 @@ const obs::MetricsRegistry& System::metrics_registry() const {
   gauge("run.mean_download_time_nonsharing_s",
         metrics_.mean_download_time_nonsharing());
   gauge("run.download_time_ratio", metrics_.download_time_ratio());
-
-  // Wall-clock telemetry: varies with the machine, never part of the
-  // replay contract.
-  tim("time.snapshot_build_ns", c.snapshot_build_ns);
 
   return registry_;
 }

@@ -50,17 +50,12 @@ void System::accrue_download(Download& d) {
 }
 
 void System::reschedule_completion(Download& d) {
-  sim_.cancel(d.completion);
-  d.completion = EventHandle{};
+  d.completion = 0;  // any pending completion event is now stale
   if (!d.active || d.sessions.empty()) return;
   const Rate rate =
       cfg_.slot_rate() * static_cast<double>(d.sessions.size());
   const SimTime dt = std::max(0.0, d.remaining() / rate);
-  const DownloadId did = d.id;
-  d.completion = sim_.schedule_in(dt, [this, did] {
-    complete_download(did);
-    drain_dirty();
-  });
+  d.completion = sim_.schedule_in(dt, kDownloadCompletion, d.id.value);
 }
 
 SessionId System::start_session(PeerId provider, IrqEntry& entry,
@@ -262,7 +257,7 @@ void System::complete_download(DownloadId did) {
     touch_graph(provider, RowKind::kEdges);  // its edge from d.peer goes away
   }
 
-  sim_.cancel(d.completion);
+  d.completion = 0;
   d.active = false;
   Peer& peer = peers_[d.peer.value];
   const auto it =

@@ -4,7 +4,6 @@
 // audited against, Section V wire-cost accounting, and the invariant
 // audit used by property tests.
 #include <algorithm>
-#include <chrono>
 
 #include "core/system.h"
 #include "obs/trace.h"
@@ -66,9 +65,6 @@ void System::unwatch_providers(Download& d) {
 const GraphSnapshot& System::graph_snapshot() const {
   if (snapshot_built_ && !graph_all_dirty_ && graph_dirty_.empty())
     return snapshot_;
-  // p2pex-lint: wall-clock-ok (snapshot_build_ns telemetry only; the
-  // counter is excluded from --stable reports and golden pins)
-  const auto t0 = std::chrono::steady_clock::now();
   // Patch only when the dirty set is a clear minority of the rows —
   // rewriting most of the graph row by row (plus its patch slack) costs
   // more than one contiguous rebuild.
@@ -93,12 +89,6 @@ const GraphSnapshot& System::graph_snapshot() const {
     hist_dirty_rows_->record(graph_dirty_.size());
     patched = true;
   }
-  // Clock stops here: the audit below is debug scaffolding, and its
-  // O(graph) rebuild must not masquerade as maintenance cost.
-  counters_.snapshot_build_ns += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)  // p2pex-lint: wall-clock-ok
-          .count());
 #ifdef P2PEX_SNAPSHOT_AUDIT
   // Debug cross-check: every patched snapshot must be row-identical
   // to a from-scratch derivation of the same state. Any mutation site

@@ -28,8 +28,8 @@ std::string format_report(const MetricsCollector& metrics,
                           const ReportOptions& options = {});
 
 /// Standard report plus the counter-derived sections (currently
-/// snapshot maintenance). Deterministic: nothing here reads
-/// snapshot_build_ns or any other wall-clock field.
+/// snapshot maintenance). Deterministic, like every SystemCounters
+/// field.
 std::string format_report(const MetricsCollector& metrics,
                           const SystemCounters& counters,
                           const ReportOptions& options = {});

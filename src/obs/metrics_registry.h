@@ -7,9 +7,9 @@
 //    same seed on every machine and build type. The pinned output
 //    digests of the test suite hash the deterministic JSON, so nothing
 //    wall-clock-derived may ever land here.
-//  * kTiming — wall-clock figures (build nanoseconds). Excluded from
-//    `--stable` exports; covered by the repo's existing `wall-clock-ok`
-//    lint convention.
+//  * kTiming — wall-clock figures. Excluded from `--stable` exports;
+//    covered by the repo's existing `wall-clock-ok` lint convention.
+//    The engine publishes none (its phase costs are trace spans).
 //
 // References returned by counter()/gauge()/histogram() are stable for
 // the registry's lifetime (std::map nodes never move), so hot paths

@@ -4,42 +4,23 @@
 
 namespace p2pex {
 
-EventHandle EventQueue::schedule(SimTime when, std::function<void()> fn) {
-  P2PEX_ASSERT_MSG(when >= last_pop_time_, "scheduling into the past");
-  const std::uint64_t id = next_id_++;
-  Entry e;
-  e.when = when;
+std::uint64_t EventQueue::push(Event e) {
+  P2PEX_ASSERT_MSG(e.time >= last_pop_time_, "scheduling into the past");
   e.seq = next_seq_++;
-  e.id = id;
-  e.fn = std::make_shared<std::function<void()>>(std::move(fn));
-  heap_.push(std::move(e));
-  live_.insert(id);
-  return EventHandle{id};
+  heap_.push(e);
+  return e.seq;
 }
 
-void EventQueue::cancel(EventHandle h) {
-  if (!h.valid()) return;
-  live_.erase(h.id);  // heap entry becomes garbage; skimmed lazily
-}
-
-void EventQueue::skim() {
-  while (!heap_.empty() && live_.count(heap_.top().id) == 0) heap_.pop();
-}
-
-SimTime EventQueue::peek_time() {
-  skim();
+const Event& EventQueue::top() const {
   P2PEX_ASSERT_MSG(!heap_.empty(), "peek on empty event queue");
-  return heap_.top().when;
+  return heap_.top();
 }
 
-std::pair<SimTime, std::function<void()>> EventQueue::pop() {
-  skim();
-  P2PEX_ASSERT_MSG(!heap_.empty(), "pop on empty event queue");
-  Entry top = heap_.top();
+Event EventQueue::pop() {
+  const Event e = top();
   heap_.pop();
-  live_.erase(top.id);
-  last_pop_time_ = top.when;
-  return {top.when, std::move(*top.fn)};
+  last_pop_time_ = e.time;
+  return e;
 }
 
 }  // namespace p2pex

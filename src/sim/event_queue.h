@@ -1,72 +1,59 @@
-// Time-ordered event queue with O(log n) schedule/pop and O(1) lazy
-// cancellation.
+// Time-ordered queue of plain event records.
 //
 // Determinism contract: events at equal timestamps fire in schedule order
 // (FIFO within a timestamp), so a run is a pure function of (seed, config).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <queue>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "util/types.h"
 
 namespace p2pex {
 
-/// Handle identifying a scheduled event; used to cancel it.
-struct EventHandle {
-  std::uint64_t id = 0;
-  [[nodiscard]] bool valid() const { return id != 0; }
+/// One scheduled event, held by value. The queue never interprets
+/// `kind`, `row` or `generation`: they are what the owner's dispatch
+/// function needs to find the row an event concerns and to tell whether
+/// the event is still current.
+struct Event {
+  static constexpr std::uint8_t kOneShot = 0xFF;
+
+  SimTime time = 0.0;
+  std::uint64_t seq = 0;         ///< schedule order, from 1; FIFO tiebreak
+  std::uint64_t generation = 0;  ///< the row's generation when scheduled
+  std::uint32_t row = 0;         ///< owner-defined row id
+  std::uint8_t kind = 0;         ///< owner-defined; dispatch switches on it
+  std::uint8_t periodic = kOneShot;  ///< periodic slot, or kOneShot
 };
 
-/// Min-heap of (time, sequence)-ordered events carrying callbacks.
+/// Binary min-heap of events ordered by (time, seq).
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `when`. Requires `when` to be no
-  /// earlier than the last popped time (no scheduling into the past).
-  EventHandle schedule(SimTime when, std::function<void()> fn);
+  /// Pushes `e` stamped with the next seq and returns that seq (never 0).
+  /// Requires `e.time` to be no earlier than the last popped time (no
+  /// scheduling into the past).
+  std::uint64_t push(Event e);
 
-  /// Cancels a previously scheduled event. Cancelling an already-fired or
-  /// already-cancelled event is a harmless no-op.
-  void cancel(EventHandle h);
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  [[nodiscard]] bool empty() const { return live_.empty(); }
-  [[nodiscard]] std::size_t size() const { return live_.size(); }
+  /// The earliest event. Requires !empty().
+  [[nodiscard]] const Event& top() const;
 
-  /// Time of the earliest live event. Requires !empty().
-  [[nodiscard]] SimTime peek_time();
-
-  /// Pops the earliest live event. Requires !empty().
-  std::pair<SimTime, std::function<void()>> pop();
-
-  /// Total events ever scheduled (instrumentation).
-  [[nodiscard]] std::uint64_t scheduled_total() const { return next_id_ - 1; }
+  /// Removes and returns the earliest event. Requires !empty().
+  Event pop();
 
  private:
-  struct Entry {
-    SimTime when = 0.0;
-    std::uint64_t seq = 0;
-    std::uint64_t id = 0;
-    // Heap entries get copied during sift; keep the callback out-of-line.
-    std::shared_ptr<std::function<void()>> fn;
-
-    bool operator>(const Entry& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
     }
   };
 
-  /// Discards heap entries whose id is no longer live (cancelled).
-  void skim();
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_set<std::uint64_t> live_;  // ids scheduled, unfired, uncancelled
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::uint64_t next_seq_ = 1;
   SimTime last_pop_time_ = 0.0;
 };
 

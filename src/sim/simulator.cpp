@@ -1,75 +1,39 @@
 #include "sim/simulator.h"
 
-#include "util/assert.h"
-
 namespace p2pex {
 
-EventHandle Simulator::schedule_in(SimTime delay, std::function<void()> fn) {
+std::uint64_t Simulator::schedule_in(SimTime delay, std::uint8_t kind,
+                                     std::uint32_t row,
+                                     std::uint64_t generation) {
   P2PEX_ASSERT_MSG(delay >= 0.0, "negative delay");
-  return queue_.schedule(now_ + delay, std::move(fn));
+  Event e;
+  e.time = now_ + delay;
+  e.generation = generation;
+  e.row = row;
+  e.kind = kind;
+  return queue_.push(e);
 }
 
-EventHandle Simulator::schedule_at(SimTime when, std::function<void()> fn) {
-  P2PEX_ASSERT_MSG(when >= now_, "scheduling into the past");
-  return queue_.schedule(when, std::move(fn));
-}
-
-void Simulator::schedule_periodic(SimTime period, std::function<void()> fn) {
+void Simulator::schedule_periodic(SimTime period, std::uint8_t kind) {
   P2PEX_ASSERT_MSG(period > 0.0, "non-positive period");
-  auto shared_fn = std::make_shared<std::function<void()>>(std::move(fn));
-  // Self-rescheduling wrapper; parks (instead of rescheduling) once the
-  // next occurrence falls past the run horizon so that run_until()
-  // terminates and destruction is clean — run_until() re-arms parked
-  // tasks when the horizon moves out. The simulator holds the only
-  // strong reference to the record — the lambda captures a weak one,
-  // since a shared self-capture would be an unreclaimable cycle.
-  auto rec = std::make_shared<Periodic>();
-  rec->period = period;
-  rec->tick = std::make_shared<std::function<void()>>();
-  *rec->tick = [this, shared_fn, weak = std::weak_ptr<Periodic>(rec)]() {
-    (*shared_fn)();
-    auto self = weak.lock();
-    if (!self) return;
-    self->next = now_ + self->period;
-    self->armed = self->next <= horizon_;
-    if (self->armed) queue_.schedule(self->next, *self->tick);
-  };
-  rec->next = now_ + period;
-  rec->armed = true;
-  queue_.schedule(rec->next, *rec->tick);
-  periodics_.push_back(std::move(rec));
+  P2PEX_ASSERT_MSG(periodics_.size() < Event::kOneShot,
+                   "too many periodic tasks");
+  Periodic p;
+  p.period = period;
+  p.next = now_ + period;
+  p.kind = kind;
+  periodics_.push_back(p);
+  arm(periodics_.size() - 1);
 }
 
-std::uint64_t Simulator::run_until(SimTime t_end) {
-  P2PEX_ASSERT_MSG(t_end >= now_, "running backwards");
-  horizon_ = t_end;
-  // Re-arm periodic tasks that parked against an earlier horizon; they
-  // resume at exactly the occurrence they parked on.
-  for (const auto& rec : periodics_) {
-    if (!rec->armed && rec->next <= t_end) {
-      rec->armed = true;
-      queue_.schedule(rec->next, *rec->tick);
-    }
-  }
-  std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.peek_time() <= t_end) {
-    auto [when, fn] = queue_.pop();
-    now_ = when;
-    fn();
-    ++n;
-  }
-  now_ = t_end;
-  processed_ += n;
-  return n;
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto [when, fn] = queue_.pop();
-  now_ = when;
-  fn();
-  ++processed_;
-  return true;
+void Simulator::arm(std::size_t slot) {
+  Periodic& p = periodics_[slot];
+  Event e;
+  e.time = p.next;
+  e.kind = p.kind;
+  e.periodic = static_cast<std::uint8_t>(slot);
+  queue_.push(e);
+  p.armed = true;
 }
 
 }  // namespace p2pex

@@ -61,11 +61,8 @@ TEST(ExperimentUnits, SummarizeRunCarriesSnapshotMaintenanceStats) {
   EXPECT_EQ(r.snapshot_rebuilds, c.snapshot_rebuilds);
   EXPECT_EQ(r.snapshot_patches, c.snapshot_patches);
   EXPECT_EQ(r.dirty_rows_patched, c.dirty_rows_patched);
-  EXPECT_DOUBLE_EQ(r.snapshot_build_seconds,
-                   static_cast<double>(c.snapshot_build_ns) / 1e9);
   // A real run maintains the snapshot: deltas dominate full rebuilds.
   EXPECT_GT(r.snapshot_patches, 0u);
-  EXPECT_GT(r.snapshot_build_seconds, 0.0);
 }
 
 TEST(SessionEndNames, AllVariantsNamed) {

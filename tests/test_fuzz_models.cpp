@@ -1,15 +1,17 @@
-// Model-based randomized tests: drive the IRQ, Storage and EventQueue
+// Model-based randomized tests: drive the IRQ, Storage and Simulator
 // with random operation sequences and compare every observable against a
 // trivially correct reference model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "catalog/storage.h"
 #include "proto/irq.h"
-#include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "support/fuzz_corpus.h"
 #include "util/rng.h"
 
@@ -157,59 +159,103 @@ INSTANTIATE_TEST_SUITE_P(Corpus, StorageFuzz,
                          ::testing::ValuesIn(test::kStorageFuzzSeeds),
                          test::fuzz_seed_name);
 
-// --- EventQueue vs reference multimap ---
+// --- Simulator vs reference multimap ---
 
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Random one-shot events, owner-side invalidation (a row generation bump
+// makes every event queued for the row stale), one or two periodics and
+// random run_until slice points, with scheduling and invalidation from
+// inside handlers too, as the engine does. Times sit on a quarter-second
+// grid: many events share an instant, and every sum stays exact.
 TEST_P(EventQueueFuzz, PopsExactlyTheReferenceSchedule) {
   Rng rng(GetParam());
-  EventQueue q;
-  // Reference: (time, seq) -> id, mirroring FIFO-within-timestamp.
-  std::map<std::pair<double, std::uint64_t>, std::uint64_t> ref;
-  std::vector<EventHandle> handles;
-  std::uint64_t seq = 0;
-  double now = 0.0;
+  Simulator sim;
+  constexpr std::uint8_t kOneShot = 0;
+  constexpr std::size_t kRows = 16;
+  std::vector<std::uint64_t> generation(kRows, 0);
+  // Current one-shot events: (time, seq) -> row, so FIFO within a time.
+  std::map<std::pair<SimTime, std::uint64_t>, std::uint32_t> ref;
+  std::uint64_t scheduled = 0;
+  std::uint64_t invalidated = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t dropped = 0;
+  const auto grid = [&](std::size_t n) {
+    return 0.25 * static_cast<double>(rng.index(n));
+  };
+  const auto schedule = [&] {
+    const auto row = static_cast<std::uint32_t>(rng.index(kRows));
+    const SimTime delay = grid(400);
+    const std::uint64_t seq =
+        sim.schedule_in(delay, kOneShot, row, generation[row]);
+    ref.emplace(std::make_pair(sim.now() + delay, seq), row);
+    ++scheduled;
+  };
+  const auto invalidate = [&] {
+    const auto row = static_cast<std::uint32_t>(rng.index(kRows));
+    ++generation[row];
+    invalidated += std::erase_if(
+        ref, [row](const auto& kv) { return kv.second == row; });
+  };
 
-  for (int step = 0; step < 3000; ++step) {
-    switch (rng.index(3)) {
-      case 0: {  // schedule
-        const double when = now + rng.uniform_real(0.0, 100.0);
-        const EventHandle h = q.schedule(when, [] {});
-        ref[{when, seq++}] = h.id;
-        handles.push_back(h);
-        break;
-      }
-      case 1: {  // cancel a random previously issued handle
-        if (handles.empty()) break;
-        const EventHandle h = handles[rng.index(handles.size())];
-        q.cancel(h);
-        for (auto it = ref.begin(); it != ref.end(); ++it)
-          if (it->second == h.id) {
-            ref.erase(it);
-            break;
-          }
-        break;
-      }
-      case 2: {  // pop
-        ASSERT_EQ(q.empty(), ref.empty());
-        if (ref.empty()) break;
-        const auto [when, fn] = q.pop();
-        ASSERT_DOUBLE_EQ(when, ref.begin()->first.first);
-        ref.erase(ref.begin());
-        now = when;
-        break;
-      }
+  std::vector<SimTime> periods(1 + rng.index(2));
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    periods[i] = 0.25 + grid(40);
+    sim.schedule_periodic(periods[i], static_cast<std::uint8_t>(1 + i));
+  }
+  std::vector<std::uint64_t> ticks(periods.size(), 0);
+
+  SimTime last = 0.0;
+  const auto dispatch = [&](const Event& e) {
+    ASSERT_EQ(e.time, sim.now());
+    ASSERT_GE(e.time, last) << "time went backwards";
+    last = e.time;
+    if (e.kind != kOneShot) {  // the k-th firing lands on k x period
+      const std::size_t i = e.kind - 1u;
+      ASSERT_EQ(e.time, static_cast<double>(++ticks[i]) * periods[i]);
+      return;
     }
-    ASSERT_EQ(q.size(), ref.size());
-  }
-  // Drain: remaining events come out in exact reference order.
-  while (!ref.empty()) {
-    ASSERT_FALSE(q.empty());
-    const auto [when, fn] = q.pop();
-    ASSERT_DOUBLE_EQ(when, ref.begin()->first.first);
+    if (e.generation != generation[e.row]) {
+      ++dropped;  // invalidated: the owner ignores it
+      return;
+    }
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(ref.begin()->first, std::make_pair(e.time, e.seq));
+    ASSERT_EQ(ref.begin()->second, e.row);
     ref.erase(ref.begin());
+    ++fired;
+    switch (rng.index(4)) {
+      case 0: schedule(); break;
+      case 1: invalidate(); break;
+      default: break;
+    }
+  };
+
+  for (int slice = 0; slice < 300; ++slice) {
+    for (std::size_t ops = rng.index(12); ops > 0; --ops)
+      rng.chance(0.7) ? schedule() : invalidate();
+    const SimTime t_end = sim.now() + grid(60);
+    sim.run_until(t_end, dispatch);
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(sim.now(), t_end);
+    // Every current event due by t_end fired...
+    ASSERT_TRUE(ref.empty() || ref.begin()->first.first > t_end);
+    // ...and every periodic occurrence up to t_end, parked ones included.
+    for (std::size_t i = 0; i < periods.size(); ++i)
+      ASSERT_EQ(ticks[i],
+                static_cast<std::uint64_t>(std::floor(t_end / periods[i])));
   }
-  ASSERT_TRUE(q.empty());
+  // Drain: every event arrives exactly once; the current ones fired in
+  // reference order, and exactly the invalidated ones were dropped.
+  while (fired + dropped < scheduled) {
+    sim.run_until(sim.now() + 100.0, dispatch);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(fired + dropped, scheduled);
+  EXPECT_EQ(dropped, invalidated);
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, EventQueueFuzz,
